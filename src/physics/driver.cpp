@@ -1,15 +1,97 @@
 #include "physics/driver.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
-#include "homme/init.hpp"
-#include "homme/ops.hpp"
-#include "homme/rhs.hpp"
+#include "homme/dims.hpp"
 
 namespace phys {
 
 using homme::fidx;
 using mesh::kNpp;
+
+namespace {
+
+/// Local east and north unit vectors of one GLL point in Cartesian space:
+/// the expressions of homme::wind_to_contra, evaluated once per column and
+/// shared by extraction and write-back.
+struct LocalFrame {
+  double ex, ey, ez, nx, ny, nz;
+
+  LocalFrame(const mesh::ElementGeom& g, std::size_t k)
+      : ex(-std::sin(g.lon[k])),
+        ey(std::cos(g.lon[k])),
+        ez(0.0),
+        nx(-std::sin(g.lat[k]) * std::cos(g.lon[k])),
+        ny(-std::sin(g.lat[k]) * std::sin(g.lon[k])),
+        nz(std::cos(g.lat[k])) {}
+};
+
+/// The fields a column pass writes. Each mutable_span() un-shares a COW
+/// chunk, so these are taken once per element, not per column.
+struct FieldsOut {
+  std::span<double> T, u1, u2, q;
+  std::span<const double> dp;
+
+  FieldsOut(homme::ElementState& es, const homme::Dims& d)
+      : T(es.T.mutable_span()),
+        u1(es.u1.mutable_span()),
+        u2(es.u2.mutable_span()),
+        q(d.qsize > 0 ? es.q_mut(0, d) : std::span<double>{}),
+        dp(es.dp.span()) {}
+};
+
+/// Fill \p c (already sized to the level count) from column \p k, all but
+/// the SST.
+void load_column(const homme::ElementState& es, const homme::Dims& d,
+                 const mesh::ElementGeom& g, int k, const LocalFrame& fr,
+                 Column& c) {
+  const std::size_t sk = static_cast<std::size_t>(k);
+  const bool has_q = d.qsize > 0;
+  const auto qf = has_q ? es.q(0, d) : std::span<const double>{};
+  c.lat = g.lat[sk];
+  c.lon = g.lon[sk];
+  c.ps = homme::kPtop;
+  for (int lev = 0; lev < c.nlev; ++lev) {
+    const std::size_t f = fidx(lev, k);
+    const std::size_t l = static_cast<std::size_t>(lev);
+    c.t[l] = es.T[f];
+    c.dp[l] = es.dp[f];
+    c.q[l] = has_q ? qf[f] / es.dp[f] : 0.0;
+    // Physical east/north wind from contravariant components.
+    const double u1 = es.u1[f], u2 = es.u2[f];
+    const double ux = u1 * g.a1[sk][0] + u2 * g.a2[sk][0];
+    const double uy = u1 * g.a1[sk][1] + u2 * g.a2[sk][1];
+    const double uz = u1 * g.a1[sk][2] + u2 * g.a2[sk][2];
+    c.u[l] = ux * fr.ex + uy * fr.ey;
+    c.v[l] = ux * fr.nx + uy * fr.ny + uz * fr.nz;
+    // Mid-level pressure: the running sum of dp from the model top.
+    c.p[l] = c.ps + 0.5 * c.dp[l];
+    c.ps += c.dp[l];
+  }
+}
+
+/// Write column \p k of \p c back (winds to contravariant components).
+void store_column(const Column& c, const mesh::ElementGeom& g, int k,
+                  const LocalFrame& fr, const FieldsOut& out) {
+  const std::size_t sk = static_cast<std::size_t>(k);
+  for (int lev = 0; lev < c.nlev; ++lev) {
+    const std::size_t f = fidx(lev, k);
+    const std::size_t l = static_cast<std::size_t>(lev);
+    out.T[f] = c.t[l];
+    if (!out.q.empty()) out.q[f] = c.q[l] * out.dp[f];
+    const double ux = c.u[l] * fr.ex + c.v[l] * fr.nx;
+    const double uy = c.u[l] * fr.ey + c.v[l] * fr.ny;
+    // The ez == 0 term stays, as in wind_to_contra: it can set the sign
+    // of a zero.
+    const double uz = c.u[l] * fr.ez + c.v[l] * fr.nz;
+    out.u1[f] = ux * g.b1[sk][0] + uy * g.b1[sk][1] + uz * g.b1[sk][2];
+    out.u2[f] = ux * g.b2[sk][0] + uy * g.b2[sk][1] + uz * g.b2[sk][2];
+  }
+}
+
+}  // namespace
 
 PhysicsDriver::PhysicsDriver(const mesh::CubedSphere& m,
                              const homme::Dims& d, PhysicsConfig cfg)
@@ -17,87 +99,46 @@ PhysicsDriver::PhysicsDriver(const mesh::CubedSphere& m,
 
 Column PhysicsDriver::extract_column(const homme::State& s, int e,
                                      int k) const {
-  const std::size_t se = static_cast<std::size_t>(e);
-  const std::size_t sk = static_cast<std::size_t>(k);
   const auto& g = mesh_.geom(e);
   Column c(dims_.nlev);
-  c.lat = g.lat[sk];
-  c.lon = g.lon[sk];
+  load_column(s[static_cast<std::size_t>(e)], dims_, g, k,
+              LocalFrame(g, static_cast<std::size_t>(k)), c);
   c.sst = cfg_.sst(c.lat, c.lon);
-
-  // Physical east/north wind from contravariant components.
-  const double ex = -std::sin(c.lon), ey = std::cos(c.lon);
-  const double nx = -std::sin(c.lat) * std::cos(c.lon);
-  const double ny = -std::sin(c.lat) * std::sin(c.lon);
-  const double nz = std::cos(c.lat);
-
-  c.ps = homme::kPtop;
-  const bool has_q = dims_.qsize > 0;
-  auto qf = has_q ? s[se].q(0, dims_)
-                  : std::span<const double>{};
-  for (int lev = 0; lev < dims_.nlev; ++lev) {
-    const std::size_t f = fidx(lev, k);
-    c.t[static_cast<std::size_t>(lev)] = s[se].T[f];
-    c.dp[static_cast<std::size_t>(lev)] = s[se].dp[f];
-    c.q[static_cast<std::size_t>(lev)] =
-        has_q ? qf[f] / s[se].dp[f] : 0.0;
-    const double u1 = s[se].u1[f], u2 = s[se].u2[f];
-    const double ux = u1 * g.a1[sk][0] + u2 * g.a2[sk][0];
-    const double uy = u1 * g.a1[sk][1] + u2 * g.a2[sk][1];
-    const double uz = u1 * g.a1[sk][2] + u2 * g.a2[sk][2];
-    c.u[static_cast<std::size_t>(lev)] = ux * ex + uy * ey;
-    c.v[static_cast<std::size_t>(lev)] = ux * nx + uy * ny + uz * nz;
-    c.ps += s[se].dp[f];
-  }
-  // Mid-level pressures.
-  double run = homme::kPtop;
-  for (int lev = 0; lev < dims_.nlev; ++lev) {
-    c.p[static_cast<std::size_t>(lev)] =
-        run + 0.5 * c.dp[static_cast<std::size_t>(lev)];
-    run += c.dp[static_cast<std::size_t>(lev)];
-  }
   return c;
 }
 
 void PhysicsDriver::restore_column(const Column& c, homme::State& s, int e,
                                    int k) const {
-  const std::size_t se = static_cast<std::size_t>(e);
   const auto& g = mesh_.geom(e);
-  const bool has_q = dims_.qsize > 0;
-  // COW: un-share the written fields up front, once per column.
-  auto qf = has_q ? s[se].q_mut(0, dims_) : std::span<double>{};
-  std::span<double> T = s[se].T.mutable_span();
-  std::span<double> su1 = s[se].u1.mutable_span();
-  std::span<double> su2 = s[se].u2.mutable_span();
-  for (int lev = 0; lev < dims_.nlev; ++lev) {
-    const std::size_t f = fidx(lev, k);
-    T[f] = c.t[static_cast<std::size_t>(lev)];
-    if (has_q) qf[f] = c.q[static_cast<std::size_t>(lev)] * s[se].dp[f];
-    double u1, u2;
-    homme::wind_to_contra(g, k, c.u[static_cast<std::size_t>(lev)],
-                          c.v[static_cast<std::size_t>(lev)], u1, u2);
-    su1[f] = u1;
-    su2[f] = u2;
-  }
+  store_column(c, g, k, LocalFrame(g, static_cast<std::size_t>(k)),
+               FieldsOut(s[static_cast<std::size_t>(e)], dims_));
 }
 
 PhysicsStats PhysicsDriver::step(homme::State& s, double dt) {
   PhysicsStats out;
   out.olr_field.assign(
       static_cast<std::size_t>(mesh_.nelem()) * kNpp, 0.0);
+  // One column buffer for the whole step: load_column and the SST
+  // overwrite every field, so nothing leaks from one column to the next.
+  Column c(dims_.nlev);
   double area = 0.0;
   for (int e = 0; e < mesh_.nelem(); ++e) {
     const auto& g = mesh_.geom(e);
+    homme::ElementState& es = s[static_cast<std::size_t>(e)];
+    const FieldsOut fields(es, dims_);
     for (int k = 0; k < kNpp; ++k) {
-      Column c = extract_column(s, e, k);
+      const std::size_t sk = static_cast<std::size_t>(k);
+      const LocalFrame fr(g, sk);
+      load_column(es, dims_, g, k, fr, c);
+      c.sst = cfg_.sst(c.lat, c.lon);
       ColumnDiag diag;
       if (cfg_.radiation) gray_radiation(cfg_.rad, c, dt, diag);
       if (cfg_.convection) dry_adjustment(c);
       if (cfg_.condensation) large_scale_condensation(c, dt, diag);
       if (cfg_.surface_pbl) surface_and_pbl(cfg_.sfc, c, dt, diag);
-      restore_column(c, s, e, k);
+      store_column(c, g, k, fr, fields);
 
-      const double w = g.mass[static_cast<std::size_t>(k)];
+      const double w = g.mass[sk];
       area += w;
       out.mean_precip += w * diag.precip;
       out.mean_olr += w * diag.olr;

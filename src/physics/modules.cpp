@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+#include <span>
 
 #include "homme/dims.hpp"
+#include "homme/scratch.hpp"
 
 namespace phys {
 
@@ -13,6 +14,20 @@ using homme::kGravity;
 using homme::kKappa;
 using homme::kP0;
 using homme::kRgas;
+using homme::ScratchArena;
+
+namespace {
+
+/// The calling thread's scratch arena, holding at least \p doubles:
+/// module temporaries are bump-allocated from it instead of
+/// heap-allocated per column.
+ScratchArena& column_arena(std::size_t doubles) {
+  ScratchArena& arena = ScratchArena::thread_local_arena();
+  if (arena.capacity() < doubles) arena.require(doubles);
+  return arena;
+}
+
+}  // namespace
 
 double saturation_vapor_pressure(double t) {
   // Bolton (1980).
@@ -27,33 +42,35 @@ double saturation_mixing_ratio(double t, double p) {
 void gray_radiation(const RadiationConfig& cfg, Column& c, double dt,
                     ColumnDiag& diag) {
   const int n = c.nlev;
+  const std::size_t sn = static_cast<std::size_t>(n);
+  ScratchArena& arena = column_arena(5 * sn + 2);
+  ScratchArena::Frame frame(arena);
+  std::span<double> dtau = arena.alloc(sn), tr = arena.alloc(sn),
+                    planck = arena.alloc(sn), up = arena.alloc(sn + 1),
+                    down = arena.alloc(sn + 1);
+
   // Gray optical depth grows quadratically toward the surface (a crude
-  // water-vapor profile): tau(p) = tau0 (p/ps)^2.
-  std::vector<double> dtau(static_cast<std::size_t>(n));
+  // water-vapor profile): tau(p) = tau0 (p/ps)^2. Each layer's
+  // transmissivity and Planck emission are evaluated once and shared by
+  // both streams (the temperatures change only in the heating loop).
   double p_int = homme::kPtop;
   double tau_prev = cfg.tau0 * (p_int / c.ps) * (p_int / c.ps);
-  for (int k = 0; k < n; ++k) {
-    p_int += c.dp[static_cast<std::size_t>(k)];
+  for (std::size_t k = 0; k < sn; ++k) {
+    p_int += c.dp[k];
     const double tau = cfg.tau0 * (p_int / c.ps) * (p_int / c.ps);
-    dtau[static_cast<std::size_t>(k)] = tau - tau_prev;
+    dtau[k] = tau - tau_prev;
     tau_prev = tau;
+    tr[k] = std::exp(-dtau[k]);
+    planck[k] = kStefan * std::pow(c.t[k], 4);
   }
 
-  std::vector<double> up(static_cast<std::size_t>(n) + 1),
-      down(static_cast<std::size_t>(n) + 1);
   down[0] = 0.0;
-  for (int k = 0; k < n; ++k) {
-    const double tr = std::exp(-dtau[static_cast<std::size_t>(k)]);
-    const double b = kStefan * std::pow(c.t[static_cast<std::size_t>(k)], 4);
-    down[static_cast<std::size_t>(k) + 1] =
-        down[static_cast<std::size_t>(k)] * tr + b * (1.0 - tr);
+  for (std::size_t k = 0; k < sn; ++k) {
+    down[k + 1] = down[k] * tr[k] + planck[k] * (1.0 - tr[k]);
   }
-  up[static_cast<std::size_t>(n)] = kStefan * std::pow(c.sst, 4);
-  for (int k = n - 1; k >= 0; --k) {
-    const double tr = std::exp(-dtau[static_cast<std::size_t>(k)]);
-    const double b = kStefan * std::pow(c.t[static_cast<std::size_t>(k)], 4);
-    up[static_cast<std::size_t>(k)] =
-        up[static_cast<std::size_t>(k) + 1] * tr + b * (1.0 - tr);
+  up[sn] = kStefan * std::pow(c.sst, 4);
+  for (std::size_t k = sn; k-- > 0;) {
+    up[k] = up[k + 1] * tr[k] + planck[k] * (1.0 - tr[k]);
   }
   diag.olr = up[0];
 
@@ -78,7 +95,9 @@ void gray_radiation(const RadiationConfig& cfg, Column& c, double dt,
 
 void dry_adjustment(Column& c, int max_iter) {
   const int n = c.nlev;
-  std::vector<double> exner(static_cast<std::size_t>(n));
+  ScratchArena& arena = column_arena(static_cast<std::size_t>(n));
+  ScratchArena::Frame frame(arena);
+  std::span<double> exner = arena.alloc(static_cast<std::size_t>(n));
   for (int k = 0; k < n; ++k) {
     exner[static_cast<std::size_t>(k)] =
         std::pow(c.p[static_cast<std::size_t>(k)] / kP0, kKappa);
@@ -126,8 +145,8 @@ void large_scale_condensation(Column& c, double dt, ColumnDiag& diag) {
 namespace {
 
 /// Thomas algorithm for a tridiagonal system (a=sub, b=diag, c=sup).
-void tridiag_solve(std::vector<double>& a, std::vector<double>& b,
-                   std::vector<double>& cc, std::vector<double>& d) {
+void tridiag_solve(std::span<const double> a, std::span<double> b,
+                   std::span<const double> cc, std::span<double> d) {
   const std::size_t n = b.size();
   for (std::size_t i = 1; i < n; ++i) {
     const double w = a[i] / b[i - 1];
@@ -166,7 +185,10 @@ void surface_and_pbl(const SurfaceConfig& cfg, Column& c, double dt,
 
   // Implicit vertical diffusion over the PBL depth. In pressure
   // coordinates d/dt X = g^2 d/dp (rho^2 K dX/dp).
-  std::vector<double> kfac(static_cast<std::size_t>(n) + 1, 0.0);
+  const std::size_t sn = static_cast<std::size_t>(n);
+  ScratchArena& arena = column_arena(4 * sn + 1);
+  ScratchArena::Frame frame(arena);
+  std::span<double> kfac = arena.alloc_zero(sn + 1);
   for (int k = 1; k < n; ++k) {
     const std::size_t sk = static_cast<std::size_t>(k);
     const double p_int = 0.5 * (c.p[sk - 1] + c.p[sk]);
@@ -176,20 +198,19 @@ void surface_and_pbl(const SurfaceConfig& cfg, Column& c, double dt,
     kfac[sk] = kGravity * kGravity * rho_i * rho_i * cfg.k_pbl / dpi;
   }
 
-  auto diffuse = [&](std::vector<double>& x) {
-    std::vector<double> a(static_cast<std::size_t>(n), 0.0),
-        b(static_cast<std::size_t>(n), 0.0),
-        cc(static_cast<std::size_t>(n), 0.0), d(x);
-    for (int k = 0; k < n; ++k) {
-      const std::size_t sk = static_cast<std::size_t>(k);
-      const double up = kfac[sk] * dt / c.dp[sk];
-      const double dn = kfac[sk + 1] * dt / c.dp[sk];
-      a[sk] = -up;
-      cc[sk] = -dn;
-      b[sk] = 1.0 + up + dn;
+  // One tridiagonal system, rebuilt for each diffused field and solved
+  // in place on it.
+  std::span<double> a = arena.alloc(sn), b = arena.alloc(sn),
+                    cc = arena.alloc(sn);
+  auto diffuse = [&](std::span<double> x) {
+    for (std::size_t k = 0; k < sn; ++k) {
+      const double up = kfac[k] * dt / c.dp[k];
+      const double dn = kfac[k + 1] * dt / c.dp[k];
+      a[k] = -up;
+      cc[k] = -dn;
+      b[k] = 1.0 + up + dn;
     }
-    tridiag_solve(a, b, cc, d);
-    x = d;
+    tridiag_solve(a, b, cc, x);
   };
   diffuse(c.t);
   diffuse(c.q);

@@ -239,6 +239,14 @@ void Server::fold(EngineStats& into, const EngineStats& s) {
   into.state_shared_chunks += s.state_shared_chunks;
   into.checkpoint_saves += s.checkpoint_saves;
   into.checkpoint_bytes += s.checkpoint_bytes;
+  into.placed_members += s.placed_members;
+  into.cg_pools = s.cg_pools;  // the live engine's, like workers
+  into.cg_groups_busy_high_water = std::max(into.cg_groups_busy_high_water,
+                                            s.cg_groups_busy_high_water);
+  into.cg_stream_high_water =
+      std::max(into.cg_stream_high_water, s.cg_stream_high_water);
+  into.cg_contended_ops += s.cg_contended_ops;
+  into.cg_contended_bytes += s.cg_contended_bytes;
 }
 
 EngineStats Server::engine_stats() const {

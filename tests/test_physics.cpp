@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <thread>
 
 #include "homme/init.hpp"
+#include "model/session.hpp"
 #include "physics/driver.hpp"
 #include "physics/modules.hpp"
+#include "scenario/registry.hpp"
 
 namespace {
 
@@ -203,6 +208,132 @@ TEST(PhysicsDriver, ColumnRoundTripPreservesState) {
                   1e-12 + 1e-6 * std::abs(copy[e].u2[f]));
     }
   }
+}
+
+/// The suite in driver order on one column.
+void run_suite(const phys::PhysicsConfig& cfg, Column& c, double dt,
+               ColumnDiag& diag) {
+  if (cfg.radiation) phys::gray_radiation(cfg.rad, c, dt, diag);
+  if (cfg.convection) phys::dry_adjustment(c);
+  if (cfg.condensation) phys::large_scale_condensation(c, dt, diag);
+  if (cfg.surface_pbl) phys::surface_and_pbl(cfg.sfc, c, dt, diag);
+}
+
+/// PhysicsDriver::step spelled out through the per-column API: a fresh
+/// Column per column, extracted, run through the suite and restored.
+phys::PhysicsStats reference_step(const phys::PhysicsDriver& pd,
+                                  const mesh::CubedSphere& m,
+                                  homme::State& s, double dt) {
+  phys::PhysicsStats out;
+  out.olr_field.assign(static_cast<std::size_t>(m.nelem()) * mesh::kNpp,
+                       0.0);
+  double area = 0.0;
+  for (int e = 0; e < m.nelem(); ++e) {
+    for (int k = 0; k < mesh::kNpp; ++k) {
+      Column c = pd.extract_column(s, e, k);
+      ColumnDiag diag;
+      run_suite(pd.config(), c, dt, diag);
+      pd.restore_column(c, s, e, k);
+      const double w = m.geom(e).mass[static_cast<std::size_t>(k)];
+      area += w;
+      out.mean_precip += w * diag.precip;
+      out.mean_olr += w * diag.olr;
+      out.mean_shf += w * diag.shf;
+      out.mean_lhf += w * diag.lhf;
+      out.max_precip = std::max(out.max_precip, diag.precip);
+      out.olr_field[static_cast<std::size_t>(e * mesh::kNpp + k)] = diag.olr;
+    }
+  }
+  out.mean_precip /= area;
+  out.mean_olr /= area;
+  out.mean_shf /= area;
+  out.mean_lhf /= area;
+  return out;
+}
+
+bool same_bits(const homme::Chunk& a, const homme::Chunk& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void expect_step_matches_per_column_api(const std::string& scenario_name) {
+  SCOPED_TRACE(scenario_name);
+  scenario::Overrides ov;
+  ov.ne = 4;
+  ov.nlev = 8;
+  auto session = scenario::get(scenario_name).session(ov);
+  session->run(2);  // a developed state, not the bare initial condition
+  const phys::PhysicsConfig& cfg = session->config().physics_cfg;
+  phys::PhysicsDriver pd(session->mesh(), session->dims(), cfg);
+  homme::State fast = session->state();
+  homme::State ref = fast;
+  for (int step = 0; step < 3; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const phys::PhysicsStats a = pd.step(fast, session->dt());
+    const phys::PhysicsStats b =
+        reference_step(pd, session->mesh(), ref, session->dt());
+    EXPECT_EQ(a.mean_precip, b.mean_precip);
+    EXPECT_EQ(a.mean_olr, b.mean_olr);
+    EXPECT_EQ(a.mean_shf, b.mean_shf);
+    EXPECT_EQ(a.mean_lhf, b.mean_lhf);
+    EXPECT_EQ(a.max_precip, b.max_precip);
+    EXPECT_TRUE(a.olr_field == b.olr_field);
+    ASSERT_EQ(fast.size(), ref.size());
+    for (std::size_t e = 0; e < fast.size(); ++e) {
+      EXPECT_TRUE(same_bits(fast[e].T, ref[e].T)) << "T, element " << e;
+      EXPECT_TRUE(same_bits(fast[e].u1, ref[e].u1)) << "u1, element " << e;
+      EXPECT_TRUE(same_bits(fast[e].u2, ref[e].u2)) << "u2, element " << e;
+      EXPECT_TRUE(same_bits(fast[e].qdp, ref[e].qdp)) << "qdp, element " << e;
+      EXPECT_TRUE(same_bits(fast[e].dp, ref[e].dp)) << "dp, element " << e;
+    }
+  }
+}
+
+TEST(PhysicsDriver, StepIsBitIdenticalToPerColumnApiAquaplanet) {
+  expect_step_matches_per_column_api("aquaplanet");
+}
+
+TEST(PhysicsDriver, StepIsBitIdenticalToPerColumnApiKatrina) {
+  // Katrina's physics runs with radiation off.
+  ASSERT_FALSE(scenario::get("katrina").defaults.physics_cfg.radiation);
+  expect_step_matches_per_column_api("katrina");
+}
+
+TEST(PhysicsDriver, ColumnScratchCarriesNothingBetweenColumns) {
+  // Column A mixes over a deeper PBL than column B, so A fills more
+  // diffusion coefficients than B. Each run starts on a fresh thread,
+  // i.e. with a fresh scratch arena: B right after A must equal B alone.
+  // Only the PBL module runs: the other modules' temporaries would
+  // overwrite the coefficients' scratch between the two calls and hide a
+  // stale one.
+  phys::SurfaceConfig deep, shallow;
+  deep.pbl_depth_pa = 8.0e4;
+  shallow.pbl_depth_pa = 1.5e4;
+  const Column a0 = make_column(16, 295.0, 0.01, homme::kP0, 60.0);
+  const Column b0 = make_column(16, 290.0, 0.008, 0.97 * homme::kP0, 50.0);
+
+  Column alone = b0;
+  ColumnDiag alone_diag;
+  std::thread([&] {
+    phys::surface_and_pbl(shallow, alone, 900.0, alone_diag);
+  }).join();
+
+  Column after = b0;
+  ColumnDiag after_diag;
+  std::thread([&] {
+    Column a = a0;
+    ColumnDiag diag;
+    phys::surface_and_pbl(deep, a, 900.0, diag);
+    phys::surface_and_pbl(shallow, after, 900.0, after_diag);
+  }).join();
+
+  for (auto f : {&Column::t, &Column::q, &Column::u, &Column::v}) {
+    const auto& x = alone.*f;
+    const auto& y = after.*f;
+    EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(double)), 0);
+  }
+  EXPECT_EQ(alone_diag.shf, after_diag.shf);
+  EXPECT_EQ(alone_diag.lhf, after_diag.lhf);
 }
 
 }  // namespace

@@ -247,4 +247,68 @@ TEST(ServerMetrics, SnapshotCarriesPhaseTenantAndEngineCounters) {
             std::string::npos);
 }
 
+TEST(ServerMetrics, CoreGroupCountersFoldAcrossDrainAndRestart) {
+  // Two pipeline members at a time on one shared 4-group pool: each is
+  // placed on its own group, and their remap launches contend for the
+  // pool's memory controller whenever they overlap in time.
+  ServerConfig scfg;
+  scfg.engine.workers = 2;
+  scfg.engine.cg_pools = 1;
+  scfg.engine.core_groups_per_pool = 4;
+  scfg.engine.placement = svc::EngineConfig::Placement::kPack;
+  scfg.checkpoint_dir.clear();
+  Server server(scfg);
+  server.add_tenant("ops", TenantQuota{});
+  const model::SessionConfig pipeline = tiny_config().with_backend(
+      model::SessionConfig::Backend::kPipeline);
+  int pairs = 0;
+  // Whether two launches overlap is up to host scheduling, so run pairs
+  // until the folded stats show contention beyond \p floor (bounded).
+  auto run_until_contended = [&](std::uint64_t floor) {
+    for (int round = 0; round < 50; ++round) {
+      for (const std::string m : {"a", "b"}) {
+        const std::string name = std::to_string(pairs) + m;
+        const auto out =
+            server.submit("ops", name, make_request(40, pipeline));
+        ASSERT_EQ(out.admission, Admission::kAdmitted);
+      }
+      ++pairs;
+      server.wait_idle();
+      if (server.engine_stats().cg_contended_ops > floor) return;
+    }
+  };
+
+  run_until_contended(0);
+  const svc::EngineStats live = server.engine_stats();
+  EXPECT_EQ(live.placed_members, static_cast<std::uint64_t>(2 * pairs));
+  EXPECT_EQ(live.cg_pools, 1u);
+  EXPECT_GE(live.cg_groups_busy_high_water, 1);
+  EXPECT_GE(live.cg_stream_high_water, 1);
+  EXPECT_GT(live.cg_contended_ops, 0u);
+  EXPECT_GT(live.cg_contended_bytes, 0u);
+
+  // After a drain the totals live in the retired accumulator alone.
+  server.drain();
+  const svc::EngineStats retired = server.engine_stats();
+  EXPECT_EQ(retired.placed_members, live.placed_members);
+  EXPECT_EQ(retired.cg_pools, live.cg_pools);
+  EXPECT_EQ(retired.cg_groups_busy_high_water,
+            live.cg_groups_busy_high_water);
+  EXPECT_EQ(retired.cg_stream_high_water, live.cg_stream_high_water);
+  EXPECT_EQ(retired.cg_contended_ops, live.cg_contended_ops);
+  EXPECT_EQ(retired.cg_contended_bytes, live.cg_contended_bytes);
+
+  // A fresh engine's counters add to the retired ones.
+  server.restart();
+  run_until_contended(live.cg_contended_ops);
+  const svc::EngineStats both = server.engine_stats();
+  EXPECT_EQ(both.placed_members, static_cast<std::uint64_t>(2 * pairs));
+  EXPECT_EQ(both.cg_pools, 1u);
+  EXPECT_GE(both.cg_groups_busy_high_water,
+            live.cg_groups_busy_high_water);
+  EXPECT_GE(both.cg_stream_high_water, live.cg_stream_high_water);
+  EXPECT_GT(both.cg_contended_ops, live.cg_contended_ops);
+  EXPECT_GT(both.cg_contended_bytes, live.cg_contended_bytes);
+}
+
 }  // namespace

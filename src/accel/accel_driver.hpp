@@ -20,13 +20,13 @@
 namespace accel {
 
 /// Runs the vertical remap of a dynamics step through the athread
-/// kernel pipeline. Attach to a (Parallel)Dycore with
+/// kernel pipeline. Attach to a homme::Dycore with
 /// attach_accelerator(&pa).
 ///
-/// For the sequential Dycore the state indexes mesh elements directly —
-/// default-construct with the mesh and dims. For a ParallelDycore the
+/// For a whole-mesh Dycore the state indexes mesh elements directly —
+/// default-construct with the mesh and dims. For a rank's Dycore the
 /// local state is a permutation of a subset of mesh elements; pass the
-/// local->global map (ParallelDycore::global_elem) as \p geom_map.
+/// local->global map (Partition::rank_elems[rank]) as \p geom_map.
 ///
 /// By default the accelerator owns a private 1-CG pool, exactly the
 /// historical single-core-group behavior. use_core_groups(n) widens the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "homme/euler.hpp"
 #include "homme/hypervis.hpp"
@@ -53,7 +54,18 @@ void blend(const Dims& d, double a, const State& x, double b, const State& y,
 }  // namespace
 
 Dycore::Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg)
-    : mesh_(m), dims_(d), cfg_(cfg), min_dx_(smallest_gll_spacing(m)) {
+    : Dycore(m, std::make_unique<MeshExchange>(m), d, cfg) {}
+
+Dycore::Dycore(const mesh::CubedSphere& m, const mesh::Partition& part,
+               const mesh::CommPlan& plan, const Dims& d, DycoreConfig cfg,
+               int rank, BndryExchange::Mode mode)
+    : Dycore(m, std::make_unique<RankExchange>(m, part, plan, rank, mode), d,
+             cfg) {}
+
+Dycore::Dycore(const mesh::CubedSphere& m, std::unique_ptr<Exchange> ex,
+               const Dims& d, DycoreConfig cfg)
+    : ex_(std::move(ex)), dims_(d), cfg_(cfg),
+      min_dx_(smallest_gll_spacing(m)) {
   if (cfg_.dt <= 0.0) cfg_.dt = stable_dt(m);
   if (cfg_.nu < 0.0) {
     // Damp the 2-dx wave by ~1% of its amplitude per step:
@@ -61,16 +73,26 @@ Dycore::Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg)
     const double dx4 = std::pow(min_dx_, 4);
     cfg_.nu = 0.01 * dx4 / (97.4 * cfg_.dt);
   }
-  stage1_.assign(static_cast<std::size_t>(m.nelem()), ElementState(d));
-  stage2_.assign(static_cast<std::size_t>(m.nelem()), ElementState(d));
+  stage1_.assign(static_cast<std::size_t>(ex_->nlocal()), ElementState(d));
+  stage2_.assign(static_cast<std::size_t>(ex_->nlocal()), ElementState(d));
 }
 
 double Dycore::stable_dt(const mesh::CubedSphere& m, double cmax) {
   return 0.25 * smallest_gll_spacing(m) / cmax;
 }
 
-void Dycore::set_tracer(obs::Tracer* t) {
-  trk_ = (t != nullptr) ? &t->track("dycore", 0, 0) : nullptr;
+void Dycore::set_tracer(obs::Tracer* t) { trk_ = ex_->open_track(t); }
+
+void Dycore::step(net::Rank& r, State& s) {
+  // The exchange holds the endpoint only for this collective step.
+  ex_->bind(&r);
+  try {
+    step(s);
+  } catch (...) {
+    ex_->bind(nullptr);
+    throw;
+  }
+  ex_->bind(nullptr);
 }
 
 void Dycore::step(State& s) {
@@ -81,19 +103,19 @@ void Dycore::step(State& s) {
   // the separate euler_step below, as in CAM-SE's subcycling.
   {
     obs::ScopedSpan span(trk_, "dyn:rhs_stage");
-    compute_and_apply_rhs(mesh_, dims_, s, s, dt, stage1_);
+    compute_and_apply_rhs(*ex_, dims_, s, s, dt, stage1_);
   }
   for (std::size_t e = 0; e < s.size(); ++e) stage1_[e].phis = s[e].phis;
 
   {
     obs::ScopedSpan span(trk_, "dyn:rhs_stage");
-    compute_and_apply_rhs(mesh_, dims_, stage1_, stage1_, dt, stage2_);
+    compute_and_apply_rhs(*ex_, dims_, stage1_, stage1_, dt, stage2_);
   }
   blend(dims_, 0.75, s, 0.25, stage2_, stage1_);
 
   {
     obs::ScopedSpan span(trk_, "dyn:rhs_stage");
-    compute_and_apply_rhs(mesh_, dims_, stage1_, stage1_, dt, stage2_);
+    compute_and_apply_rhs(*ex_, dims_, stage1_, stage1_, dt, stage2_);
   }
   blend(dims_, 1.0 / 3.0, s, 2.0 / 3.0, stage2_, stage1_);
 
@@ -106,22 +128,23 @@ void Dycore::step(State& s) {
 
   if (dims_.qsize > 0) {
     obs::ScopedSpan span(trk_, "dyn:euler");
-    euler_step(mesh_, dims_, s, dt, cfg_.limit_tracers);
+    euler_step(*ex_, dims_, s, dt, cfg_.limit_tracers);
   }
 
   if (cfg_.hypervis_on) {
     obs::ScopedSpan span(trk_, "dyn:hypervis");
-    hypervis_dp2(mesh_, dims_, s, cfg_.nu, dt);
-    biharmonic_dp3d(mesh_, dims_, s, cfg_.nu, dt);
+    hypervis_dp2(*ex_, dims_, s, cfg_.nu, dt);
+    biharmonic_dp3d(*ex_, dims_, s, cfg_.nu, dt);
   }
 
   ++step_count_;
   if (cfg_.remap_freq > 0 && step_count_ % cfg_.remap_freq == 0) {
+    // Column-local: no communication at any rank count.
     obs::ScopedSpan span(trk_, "dyn:remap");
     if (accel_ != nullptr) {
       accel_->vertical_remap(s);
     } else {
-      vertical_remap(mesh_, dims_, s);
+      vertical_remap_local(dims_, s);
     }
   }
 }
@@ -135,9 +158,10 @@ Diagnostics Dycore::diagnose(const State& s) const {
   out.min_dp = std::numeric_limits<double>::max();
   out.max_t = -std::numeric_limits<double>::max();
   out.min_t = std::numeric_limits<double>::max();
-  for (int e = 0; e < mesh_.nelem(); ++e) {
+  const mesh::CubedSphere& m = ex_->mesh();
+  for (int e = 0; e < m.nelem(); ++e) {
     const std::size_t se = static_cast<std::size_t>(e);
-    const auto& g = mesh_.geom(e);
+    const auto& g = m.geom(e);
     for (int lev = 0; lev < dims_.nlev; ++lev) {
       for (int k = 0; k < kNpp; ++k) {
         const std::size_t f = fidx(lev, k);

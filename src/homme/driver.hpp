@@ -1,7 +1,12 @@
 #pragma once
 
+#include <memory>
+
+#include "homme/exchange.hpp"
 #include "homme/state.hpp"
 #include "mesh/cubed_sphere.hpp"
+#include "mesh/partition.hpp"
+#include "net/mini_mpi.hpp"
 #include "obs/trace.hpp"
 
 /// \file driver.hpp
@@ -13,6 +18,14 @@
 ///   4. every remap_freq steps, vertical_remap back to reference levels.
 /// This is the structure the paper's timers break into the six Table 1
 /// kernels.
+///
+/// There is one driver at every scale. It steps the elements its
+/// homme::Exchange owns: the whole mesh on one rank, or rank r's share of
+/// an SFC partition with every DSS routed through bndry_exchangev
+/// (original or redesigned overlap mode) over the threaded mini-MPI —
+/// the configuration the paper scales to 10 million cores. The step, its
+/// kernels and their arithmetic are the same either way; N-rank results
+/// differ from one rank only by the reassociated DSS node sums.
 
 namespace homme {
 
@@ -46,13 +59,25 @@ struct Diagnostics {
 
 class Dycore {
  public:
+  /// The whole mesh on one rank.
   Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg);
+  /// Rank \p rank of \p part: steps a state holding the rank's elements
+  /// in Partition::rank_elems order (homme::gather_local). Every rank
+  /// builds its own driver; dt and nu resolve exactly as on one rank.
+  Dycore(const mesh::CubedSphere& m, const mesh::Partition& part,
+         const mesh::CommPlan& plan, const Dims& d, DycoreConfig cfg,
+         int rank, BndryExchange::Mode mode = BndryExchange::Mode::kOverlap);
 
-  /// Advance one dynamics step.
+  /// Advance one dynamics step of the elements this driver owns.
   void step(State& s);
+  /// The same step, collective over \p r's cluster: call from every rank
+  /// with its own driver and state.
+  void step(net::Rank& r, State& s);
   /// Advance \p n steps.
   void run(State& s, int n);
 
+  /// Diagnostics of a whole-mesh state (any driver of the mesh gives the
+  /// same answer).
   Diagnostics diagnose(const State& s) const;
 
   double dt() const { return cfg_.dt; }
@@ -69,8 +94,11 @@ class Dycore {
   void attach_accelerator(StepAccelerator* accel) { accel_ = accel; }
 
   /// Report step phases (dyn:step > dyn:rhs_stage x3 / dyn:euler /
-  /// dyn:hypervis / dyn:remap) on \p t's "dycore" track, pid 0. nullptr
-  /// detaches.
+  /// dyn:hypervis / dyn:remap) on \p t: the "dycore" track (pid 0) on one
+  /// rank; on rank r the "rank<r>" track (pid r) the net layer shares when
+  /// the cluster has the same tracer, so dyn:step > bndry:wait_unpack >
+  /// net:recv nest on one timeline. nullptr detaches. On a rank, call it
+  /// from the rank's own thread or before the cluster runs.
   void set_tracer(obs::Tracer* t);
 
   /// Steps taken so far (drives the vertical-remap cadence).
@@ -80,7 +108,10 @@ class Dycore {
   void set_step_count(int n) { step_count_ = n; }
 
  private:
-  const mesh::CubedSphere& mesh_;
+  Dycore(const mesh::CubedSphere& m, std::unique_ptr<Exchange> ex,
+         const Dims& d, DycoreConfig cfg);
+
+  std::unique_ptr<Exchange> ex_;
   Dims dims_;
   DycoreConfig cfg_;
   double min_dx_;

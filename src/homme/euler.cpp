@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "homme/dss.hpp"
+#include "homme/exchange.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
 #include "homme/vpack.hpp"
@@ -60,33 +60,32 @@ void positivity_limiter(const mesh::ElementGeom& g, int nlev,
   }
 }
 
-void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
-                double dt, bool limit) {
-  const int nelem = m.nelem();
-  const std::size_t ne = static_cast<std::size_t>(nelem);
+void euler_step(Exchange& ex, const Dims& d, State& s, double dt,
+                bool limit) {
+  const int n = ex.nlocal();
+  const std::size_t sn = static_cast<std::size_t>(n);
   const std::size_t fs = d.field_size();
 
   // Per-tracer stage buffers (q0 = start of step, qs = working stage),
   // carved from the scratch arena instead of per-call heap vectors. The
-  // reservation also covers the nested dss_levels node accumulator, which
-  // allocates while all three buffers are live.
-  const std::size_t acc_n =
-      static_cast<std::size_t>(m.nnodes()) * static_cast<std::size_t>(d.nlev);
+  // reservation also covers the nested DSS's own scratch, which it takes
+  // while all three buffers are live.
+  const std::size_t need = 3 * sn * fs + ex.dss_scratch(d.nlev);
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < 3 * ne * fs + acc_n || arena.ptr_capacity() < ne) {
-    arena.require(3 * ne * fs + acc_n, ne);
+  if (arena.capacity() < need || arena.ptr_capacity() < sn) {
+    arena.require(need, sn);
   }
   ScratchArena::Frame frame(arena);
-  std::span<double> q0 = arena.alloc(ne * fs), qs = arena.alloc(ne * fs),
-                    rhs = arena.alloc(ne * fs);
-  std::span<double*> qs_ptrs = arena.alloc_ptrs(ne);
-  for (std::size_t e = 0; e < ne; ++e) qs_ptrs[e] = qs.data() + e * fs;
+  std::span<double> q0 = arena.alloc(sn * fs), qs = arena.alloc(sn * fs),
+                    rhs = arena.alloc(sn * fs);
+  std::span<double*> qs_ptrs = arena.alloc_ptrs(sn);
+  for (std::size_t le = 0; le < sn; ++le) qs_ptrs[le] = qs.data() + le * fs;
 
   for (int q = 0; q < d.qsize; ++q) {
-    for (std::size_t e = 0; e < ne; ++e) {
-      auto src = s[e].q(q, d);
-      std::copy(src.begin(), src.end(), q0.begin() + e * fs);
-      std::copy(src.begin(), src.end(), qs.begin() + e * fs);
+    for (std::size_t le = 0; le < sn; ++le) {
+      auto src = s[le].q(q, d);
+      std::copy(src.begin(), src.end(), q0.begin() + le * fs);
+      std::copy(src.begin(), src.end(), qs.begin() + le * fs);
     }
 
     // SSP-RK3 (Shu-Osher): each stage = Euler step + convex combination,
@@ -96,35 +95,42 @@ void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
         {0.75, 0.25},            // q2 = 3/4 q0 + 1/4 (q1 + dt L(q1))
         {1.0 / 3.0, 2.0 / 3.0}}; // q3 = 1/3 q0 + 2/3 (q2 + dt L(q2))
     for (int stage = 0; stage < 3; ++stage) {
-      for (int e = 0; e < nelem; ++e) {
-        const std::size_t se = static_cast<std::size_t>(e);
-        element_tracer_rhs(m.geom(e), d, s[se], qs.subspan(se * fs, fs),
-                           rhs.subspan(se * fs, fs));
+      for (int le = 0; le < n; ++le) {
+        const std::size_t sle = static_cast<std::size_t>(le);
+        element_tracer_rhs(ex.geom(le), d, s[sle], qs.subspan(sle * fs, fs),
+                           rhs.subspan(sle * fs, fs));
         const double a = stage_w[stage][0];
         const double b = stage_w[stage][1];
-        const double* q0e = q0.data() + se * fs;
-        const double* re = rhs.data() + se * fs;
-        double* qe = qs.data() + se * fs;
+        const double* q0e = q0.data() + sle * fs;
+        const double* re = rhs.data() + sle * fs;
+        double* qe = qs.data() + sle * fs;
         for (std::size_t f = 0; f < fs; f += vpack::width) {
           (a * vpack::load(q0e + f) +
            b * (vpack::load(qe + f) + dt * vpack::load(re + f)))
               .store(qe + f);
         }
       }
-      dss_levels(m, qs_ptrs, d.nlev);
+      ex.dss_levels(qs_ptrs, d.nlev);
       if (limit) {
-        for (std::size_t e = 0; e < ne; ++e) {
-          positivity_limiter(m.geom(static_cast<int>(e)), d.nlev,
-                             qs.subspan(e * fs, fs));
+        for (int le = 0; le < n; ++le) {
+          positivity_limiter(ex.geom(le), d.nlev,
+                             qs.subspan(static_cast<std::size_t>(le) * fs, fs));
         }
       }
     }
 
-    for (std::size_t e = 0; e < ne; ++e) {
-      auto dst = s[e].q_mut(q, d);
-      std::copy(qs.begin() + e * fs, qs.begin() + (e + 1) * fs, dst.begin());
+    for (std::size_t le = 0; le < sn; ++le) {
+      auto dst = s[le].q_mut(q, d);
+      std::copy(qs.begin() + le * fs, qs.begin() + (le + 1) * fs,
+                dst.begin());
     }
   }
+}
+
+void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
+                double dt, bool limit) {
+  MeshExchange ex(m);
+  euler_step(ex, d, s, dt, limit);
 }
 
 double tracer_mass(const mesh::CubedSphere& m, const Dims& d, const State& s,

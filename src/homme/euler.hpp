@@ -15,9 +15,15 @@
 
 namespace homme {
 
-/// Advance all tracers of \p s by \p dt with SSP-RK3. If \p limit is
-/// true, apply a positivity limiter after each stage (clip negatives and
-/// rescale within the element to conserve tracer mass).
+class Exchange;
+
+/// Advance all tracers of \p s (the elements \p ex owns, its local order)
+/// by \p dt with SSP-RK3. If \p limit is true, apply a positivity limiter
+/// after each stage (clip negatives and rescale within the element to
+/// conserve tracer mass).
+void euler_step(Exchange& ex, const Dims& d, State& s, double dt,
+                bool limit = true);
+/// The same step over the whole mesh.
 void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
                 double dt, bool limit = true);
 

@@ -16,6 +16,8 @@
 
 namespace homme {
 
+class Exchange;
+
 /// Apply s <- s + dt * nu * Laplacian(s) to a multi-level scalar field
 /// given by per-element pointers. One DSS at the end.
 void laplacian_update(const mesh::CubedSphere& m, int nlev,
@@ -31,11 +33,19 @@ void biharmonic_scalar(const mesh::CubedSphere& m, int nlev,
 void hypervis_dp1(const mesh::CubedSphere& m, const Dims& d, State& s,
                   double nu, double dt);
 
-/// Table 1 "hypervis dp2": u, T <- u, T - dt*nu*Lap(Lap(u, T)).
+/// Table 1 "hypervis dp2": u, T <- u, T - dt*nu*Lap(Lap(u, T)), over the
+/// elements \p ex owns (its local order).
+void hypervis_dp2(Exchange& ex, const Dims& d, State& s, double nu,
+                  double dt);
+/// The same kernel over the whole mesh.
 void hypervis_dp2(const mesh::CubedSphere& m, const Dims& d, State& s,
                   double nu, double dt);
 
-/// Table 1 "biharmonic dp3d": dp <- dp - dt*nu*Lap(Lap(dp)).
+/// Table 1 "biharmonic dp3d": dp <- dp - dt*nu*Lap(Lap(dp)), over the
+/// elements \p ex owns.
+void biharmonic_dp3d(Exchange& ex, const Dims& d, State& s, double nu,
+                     double dt);
+/// The same kernel over the whole mesh.
 void biharmonic_dp3d(const mesh::CubedSphere& m, const Dims& d, State& s,
                      double nu, double dt);
 

@@ -8,12 +8,13 @@
 /// \file local_state.hpp
 /// Rank-local views of a global dycore state, keyed by the SFC partition.
 ///
-/// Every distributed consumer — ParallelDycore, the svc:: ensemble
-/// engine's result collection, tests assembling a global state out of
-/// rank pieces — needs the same two primitives: extract the elements a
-/// rank owns (in Partition::rank_elems order) and write them back. They
-/// live here as free functions so the element-order convention exists in
-/// exactly one place.
+/// Every distributed consumer — model::Session's N-rank step, tests
+/// assembling a global state out of rank pieces — needs the same two
+/// primitives: extract the elements a rank owns (in Partition::rank_elems
+/// order) and write them back. They live here as free functions so the
+/// element-order convention exists in exactly one place. Both copy
+/// ElementState handles, so a gathered view aliases the global state's
+/// chunks (COW) until a write un-shares one.
 
 namespace homme {
 

@@ -26,9 +26,9 @@ namespace homme {
 /// in every build mode — in Release such a column used to be silently
 /// remapped into NaN that propagated through qdp; now the failure
 /// surfaces with the element / column / level named, in the same typed
-/// spirit as sw::KernelFault, so the resilience layer (StateMonitor /
-/// ResilientRunner rollback) can react instead of inheriting poisoned
-/// state.
+/// spirit as sw::KernelFault, so the resilience layer (the StateMonitor,
+/// svc::Server's retry and resume from the last checkpoint) can react
+/// instead of inheriting poisoned state.
 class RemapError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

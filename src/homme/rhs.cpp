@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "homme/dss.hpp"
+#include "homme/exchange.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
 #include "homme/vpack.hpp"
@@ -174,18 +175,17 @@ void element_rhs(const mesh::ElementGeom& g, const Dims& d,
   }
 }
 
-void compute_and_apply_rhs(const mesh::CubedSphere& m, const Dims& d,
-                           const State& base, const State& eval, double dt,
-                           State& out) {
-  assert(base.size() == static_cast<std::size_t>(m.nelem()));
+void compute_and_apply_rhs(Exchange& ex, const Dims& d, const State& base,
+                           const State& eval, double dt, State& out) {
+  assert(base.size() == static_cast<std::size_t>(ex.nlocal()));
   assert(eval.size() == base.size() && out.size() == base.size());
 
   ElementTend tend(d);
-  for (int e = 0; e < m.nelem(); ++e) {
-    const std::size_t se = static_cast<std::size_t>(e);
-    element_rhs(m.geom(e), d, eval[se], tend);
-    ElementState& o = out[se];
-    const ElementState& b = base[se];
+  for (int le = 0; le < ex.nlocal(); ++le) {
+    const std::size_t sle = static_cast<std::size_t>(le);
+    element_rhs(ex.geom(le), d, eval[sle], tend);
+    ElementState& o = out[sle];
+    const ElementState& b = base[sle];
     std::span<double> ou1 = o.u1.mutable_span(), ou2 = o.u2.mutable_span(),
                       oT = o.T.mutable_span(), odp = o.dp.mutable_span();
     for (std::size_t f = 0; f < d.field_size(); f += vpack::width) {
@@ -205,9 +205,16 @@ void compute_and_apply_rhs(const mesh::CubedSphere& m, const Dims& d,
   auto u2p = field_ptrs(out, &ElementState::u2);
   auto Tp = field_ptrs(out, &ElementState::T);
   auto dpp = field_ptrs(out, &ElementState::dp);
-  dss_vector_levels(m, u1p, u2p, d.nlev);
-  dss_levels(m, Tp, d.nlev);
-  dss_levels(m, dpp, d.nlev);
+  ex.dss_vector_levels(u1p, u2p, d.nlev);
+  ex.dss_levels(Tp, d.nlev);
+  ex.dss_levels(dpp, d.nlev);
+}
+
+void compute_and_apply_rhs(const mesh::CubedSphere& m, const Dims& d,
+                           const State& base, const State& eval, double dt,
+                           State& out) {
+  MeshExchange ex(m);
+  compute_and_apply_rhs(ex, d, base, eval, dt, out);
 }
 
 }  // namespace homme

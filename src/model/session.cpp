@@ -1,7 +1,6 @@
 #include "model/session.hpp"
 
 #include <cstdio>
-#include <mutex>
 #include <span>
 #include <utility>
 
@@ -56,10 +55,6 @@ void SessionConfig::validate() const {
     throw ConfigError("SessionConfig: physics needs tracer 0 (specific "
                       "humidity); qsize must be >= 1");
   }
-  if (physics && nranks > 1) {
-    throw ConfigError("SessionConfig: physics is only supported on "
-                      "sequential sessions (nranks == 1)");
-  }
   if (physics_dt < 0.0) {
     throw ConfigError("SessionConfig: physics_dt must be >= 0");
   }
@@ -86,10 +81,6 @@ void SessionConfig::validate() const {
   if (ckpt_full_interval > 0 && checkpoint_base.empty()) {
     throw ConfigError("SessionConfig: delta checkpoints need a "
                       "checkpoint_base path");
-  }
-  if (ckpt_full_interval > 0 && nranks > 1) {
-    throw ConfigError("SessionConfig: delta checkpoints are only supported "
-                      "on sequential sessions (nranks == 1)");
   }
   if (watchdog_s < 0.0) {
     throw ConfigError("SessionConfig: watchdog_s must be >= 0");
@@ -190,73 +181,74 @@ Session::~Session() = default;
 
 void Session::build() {
   dims_ = cfg_.dims();
-  tracer_ = std::make_unique<obs::Tracer>(cfg_.trace_domain);
-  tracer_->enable(cfg_.trace);
 
   // Initial condition on the global mesh. An engaged InitSpec (the
   // scenario:: path — vortex seeds, perturbed ensemble members) replaces
   // the builtin enum wholesale, tracer fill included.
-  homme::State global;
   if (cfg_.init_spec.engaged()) {
-    global = cfg_.init_spec.generate(bundle_->mesh, dims_, cfg_.init_spec);
+    state_ = cfg_.init_spec.generate(bundle_->mesh, dims_, cfg_.init_spec);
     if (cfg_.init_spec.tracers && cfg_.qsize > 0) {
-      homme::init_tracers(bundle_->mesh, dims_, global);
+      homme::init_tracers(bundle_->mesh, dims_, state_);
     }
   } else {
     switch (cfg_.init) {
       case SessionConfig::Init::kBaroclinic:
-        global = homme::baroclinic(bundle_->mesh, dims_);
+        state_ = homme::baroclinic(bundle_->mesh, dims_);
         break;
       case SessionConfig::Init::kSolidBody:
-        global = homme::solid_body_rotation(bundle_->mesh, dims_);
+        state_ = homme::solid_body_rotation(bundle_->mesh, dims_);
         break;
       case SessionConfig::Init::kIsothermalRest:
-        global = homme::isothermal_rest(bundle_->mesh, dims_);
+        state_ = homme::isothermal_rest(bundle_->mesh, dims_);
         break;
     }
     if (cfg_.init_tracers && cfg_.qsize > 0) {
-      homme::init_tracers(bundle_->mesh, dims_, global);
+      homme::init_tracers(bundle_->mesh, dims_, state_);
     }
   }
+  wire(cfg_.dycore_config());
+}
 
-  const homme::DycoreConfig dcfg = cfg_.dycore_config();
-  if (cfg_.nranks == 1) {
-    dycore_ = std::make_unique<homme::Dycore>(bundle_->mesh, dims_, dcfg);
-    dycore_->set_tracer(tracer_.get());
-    state_ = std::move(global);
-  } else {
+void Session::wire(const homme::DycoreConfig& dcfg) {
+  tracer_ = std::make_unique<obs::Tracer>(cfg_.trace_domain);
+  tracer_->enable(cfg_.trace);
+  const MeshBundle& b = *bundle_;
+
+  // One rank steps the whole mesh in place; N ranks get one driver per
+  // rank, run on the mini-MPI cluster.
+  if (cfg_.nranks >= 2) {
     cluster_ = std::make_unique<net::Cluster>(cfg_.nranks);
     cluster_->set_fault_plan(cfg_.faults);
     cluster_->set_watchdog(cfg_.watchdog_s);
     cluster_->set_tracer(tracer_.get());
-    pds_.reserve(static_cast<std::size_t>(cfg_.nranks));
-    locals_.reserve(static_cast<std::size_t>(cfg_.nranks));
     for (int r = 0; r < cfg_.nranks; ++r) {
-      pds_.push_back(std::make_unique<homme::ParallelDycore>(
-          bundle_->mesh, bundle_->partition, bundle_->plan, dims_, dcfg, r,
-          cfg_.exchange));
-      pds_.back()->set_tracer(tracer_.get());
-      locals_.push_back(
-          homme::gather_local(bundle_->partition, r, global));
+      dycores_.push_back(std::make_unique<homme::Dycore>(
+          b.mesh, b.partition, b.plan, dims_, dcfg, r, cfg_.exchange));
     }
+  } else {
+    dycores_.push_back(std::make_unique<homme::Dycore>(b.mesh, dims_, dcfg));
+  }
+  for (auto& d : dycores_) {
+    d->set_tracer(tracer_.get());
+    d->set_step_count(step_count_);
   }
 
   if (cfg_.backend == SessionConfig::Backend::kPipeline) {
-    if (cfg_.nranks == 1) {
-      accels_.push_back(std::make_unique<accel::PipelineAccelerator>(
-          bundle_->mesh, dims_));
+    if (cluster_ == nullptr) {
+      accels_.push_back(
+          std::make_unique<accel::PipelineAccelerator>(b.mesh, dims_));
       accels_[0]->set_tracer(tracer_.get(), "accel");
+      // A fork shares its parent's pool handle (per-group locks make that
+      // safe) or builds its own private pool.
       if (cfg_.cg_pool != nullptr) {
         accels_[0]->set_cg_pool(cfg_.cg_pool, cfg_.cg_affinity);
       } else if (cfg_.core_groups > 1) {
         accels_[0]->use_core_groups(cfg_.core_groups);
       }
-      accels_[0]->set_fault_plan(cfg_.faults);
-      dycore_->attach_accelerator(accels_[0].get());
     } else {
-      // Parallel ranks are the MPE-level decomposition: with N > 1 core
-      // groups (or an engine-provided pool) all ranks share one pool and
-      // rank r's elements feed the pipeline on group affinity[r % N],
+      // Ranks are the MPE-level decomposition: with N > 1 core groups
+      // (or an engine-provided pool) all ranks share one pool and rank
+      // r's elements feed the pipeline on group affinity[r % N],
       // contending on the shared memory controller. Ranks step on
       // cluster threads, so sampled stream counts (and modeled cycles)
       // follow real concurrency; results stay bit-identical.
@@ -272,36 +264,31 @@ void Session::build() {
                          "accel");
       }
       for (int r = 0; r < cfg_.nranks; ++r) {
-        const auto& elems =
-            bundle_->partition.rank_elems[static_cast<std::size_t>(r)];
         accels_.push_back(std::make_unique<accel::PipelineAccelerator>(
-            bundle_->mesh, dims_, elems));
+            b.mesh, dims_,
+            b.partition.rank_elems[static_cast<std::size_t>(r)]));
         accels_.back()->set_tracer(tracer_.get(),
                                    "accel.r" + std::to_string(r), r);
         if (pool != nullptr) {
           accels_.back()->set_cg_pool(
               pool, {affinity[static_cast<std::size_t>(r) % affinity.size()]});
         }
-        accels_.back()->set_fault_plan(cfg_.faults);
-        pds_[static_cast<std::size_t>(r)]->attach_accelerator(
-            accels_.back().get());
       }
+    }
+    for (std::size_t r = 0; r < accels_.size(); ++r) {
+      accels_[r]->set_fault_plan(cfg_.faults);
+      dycores_[r]->attach_accelerator(accels_[r].get());
     }
   }
 
   if (cfg_.physics) {
-    physics_ = std::make_unique<phys::PhysicsDriver>(bundle_->mesh, dims_,
+    physics_ = std::make_unique<phys::PhysicsDriver>(b.mesh, dims_,
                                                      cfg_.physics_cfg);
   }
   if (cfg_.monitor) {
     monitor_ = std::make_unique<homme::StateMonitor>(dims_);
   }
-  init_ckpt_writer();
-}
-
-void Session::init_ckpt_writer() {
-  if (cfg_.nranks == 1 && cfg_.ckpt_full_interval > 0 &&
-      !cfg_.checkpoint_base.empty()) {
+  if (cfg_.ckpt_full_interval > 0 && !cfg_.checkpoint_base.empty()) {
     ckpt_writer_ = std::make_unique<homme::AsyncCheckpointWriter>(
         cfg_.checkpoint_base, cfg_.ckpt_full_interval);
   }
@@ -312,10 +299,13 @@ Session::Session(const Session& parent, const std::string& checkpoint_base,
     : cfg_(parent.cfg_),
       bundle_(parent.bundle_),
       dims_(parent.dims_),
-      step_count_(parent.step_count_) {
-  // fork() has already rejected parallel parents. A child never inherits
-  // the parent's checkpoint chain — same base would mean both sessions
-  // overwrite one file set.
+      step_count_(parent.step_count_),
+      // The fork itself: alias every chunk of the parent's state. The
+      // child's (or parent's) first write to a field un-shares just that
+      // chunk.
+      state_(parent.state_) {
+  // A child never inherits the parent's checkpoint chain — same base
+  // would mean both sessions overwrite one file set.
   if (checkpoint_base.empty()) {
     cfg_.checkpoint_freq = 0;
     cfg_.checkpoint_base.clear();
@@ -323,76 +313,47 @@ Session::Session(const Session& parent, const std::string& checkpoint_base,
   } else {
     cfg_.checkpoint_base = checkpoint_base;
   }
-  tracer_ = std::make_unique<obs::Tracer>(cfg_.trace_domain);
-  tracer_->enable(cfg_.trace);
-
   homme::DycoreConfig dcfg = cfg_.dycore_config();
-  dcfg.dt = parent.dycore_->dt();  // resolved values, not the auto markers
-  dcfg.nu = parent.dycore_->nu();
-  dycore_ = std::make_unique<homme::Dycore>(bundle_->mesh, dims_, dcfg);
-  dycore_->set_tracer(tracer_.get());
-  dycore_->set_step_count(step_count_);
-  // The fork itself: alias every chunk of the parent's state. The child's
-  // (or parent's) first write to a field un-shares just that chunk.
-  state_ = parent.state_;
-
-  if (cfg_.backend == SessionConfig::Backend::kPipeline) {
-    accels_.push_back(std::make_unique<accel::PipelineAccelerator>(
-        bundle_->mesh, dims_));
-    accels_[0]->set_tracer(tracer_.get(), "accel");
-    // The child shares the parent's pool handle (per-group locks make
-    // that safe) or builds its own private pool, exactly like build().
-    if (cfg_.cg_pool != nullptr) {
-      accels_[0]->set_cg_pool(cfg_.cg_pool, cfg_.cg_affinity);
-    } else if (cfg_.core_groups > 1) {
-      accels_[0]->use_core_groups(cfg_.core_groups);
-    }
-    accels_[0]->set_fault_plan(cfg_.faults);
-    dycore_->attach_accelerator(accels_[0].get());
-  }
-  if (cfg_.physics) {
-    physics_ = std::make_unique<phys::PhysicsDriver>(bundle_->mesh, dims_,
-                                                     cfg_.physics_cfg);
-  }
-  if (cfg_.monitor) {
-    monitor_ = std::make_unique<homme::StateMonitor>(dims_);
-  }
-  init_ckpt_writer();
+  dcfg.dt = parent.dt();  // resolved values, not the auto markers
+  dcfg.nu = parent.dycores_[0]->nu();
+  wire(dcfg);
 }
 
 std::unique_ptr<Session> Session::fork(
     const std::string& checkpoint_base) const {
-  if (cfg_.nranks != 1) {
-    throw ConfigError("Session::fork: only sequential sessions "
-                      "(nranks == 1) can fork");
-  }
   return std::unique_ptr<Session>(
       new Session(*this, checkpoint_base, ForkTag{}));
 }
 
-double Session::dt() const {
-  return cfg_.nranks == 1 ? dycore_->dt() : pds_[0]->dt();
-}
+double Session::dt() const { return dycores_[0]->dt(); }
 
 void Session::step_dynamics() {
-  if (cfg_.nranks == 1) {
-    dycore_->step(state_);
+  if (cluster_ == nullptr) {
+    dycores_[0]->step(state_);
     return;
   }
-  cluster_->run([&](net::Rank& r) {
-    const auto i = static_cast<std::size_t>(r.rank());
-    pds_[i]->step(r, locals_[i]);
-    if (monitor_ != nullptr) {
-      if (auto why = monitor_->check(locals_[i])) {
-        throw ModelBlowup("rank " + std::to_string(r.rank()) + ": " + *why);
-      }
-    }
-  });
-}
-
-void Session::check_monitor() {
-  if (monitor_ == nullptr || cfg_.nranks > 1) return;  // parallel: per rank
-  if (auto why = monitor_->check(state_)) throw ModelBlowup(*why);
+  // Per-rank views alias the global state's chunks (COW handle copies);
+  // only a completed step is scattered back, so a step that throws leaves
+  // the session at its last good state.
+  const mesh::Partition& part = bundle_->partition;
+  std::vector<homme::State> locals;
+  locals.reserve(dycores_.size());
+  for (int r = 0; r < cfg_.nranks; ++r) {
+    locals.push_back(homme::gather_local(part, r, state_));
+  }
+  try {
+    cluster_->run([&](net::Rank& r) {
+      const auto i = static_cast<std::size_t>(r.rank());
+      dycores_[i]->step(r, locals[i]);
+    });
+  } catch (...) {
+    for (auto& d : dycores_) d->set_step_count(step_count_);
+    throw;
+  }
+  for (int r = 0; r < cfg_.nranks; ++r) {
+    homme::scatter_local(part, r, locals[static_cast<std::size_t>(r)],
+                         state_);
+  }
 }
 
 void Session::step() {
@@ -402,7 +363,9 @@ void Session::step() {
     phys_stats_ = physics_->step(state_, pdt);
   }
   ++step_count_;
-  check_monitor();
+  if (monitor_ != nullptr) {
+    if (auto why = monitor_->check(state_)) throw ModelBlowup(*why);
+  }
 }
 
 void Session::run(int n) {
@@ -451,49 +414,17 @@ bool Session::try_resume() {
   return true;
 }
 
-homme::Diagnostics Session::diagnose() {
-  if (cfg_.nranks == 1) return dycore_->diagnose(state_);
-  homme::Diagnostics out;
-  std::mutex mu;
-  cluster_->run([&](net::Rank& r) {
-    const auto i = static_cast<std::size_t>(r.rank());
-    auto d = pds_[i]->diagnose(r, locals_[i]);
-    if (r.rank() == 0) {
-      std::lock_guard<std::mutex> lock(mu);
-      out = d;
-    }
-  });
-  return out;
-}
-
-homme::State Session::assemble() const {
-  homme::State global(static_cast<std::size_t>(bundle_->mesh.nelem()),
-                      homme::ElementState(dims_));
-  for (int r = 0; r < cfg_.nranks; ++r) {
-    homme::scatter_local(bundle_->partition, r,
-                         locals_[static_cast<std::size_t>(r)], global);
-  }
-  return global;
-}
-
-homme::State Session::state() const {
-  return cfg_.nranks == 1 ? state_ : assemble();
+homme::Diagnostics Session::diagnose() const {
+  return dycores_[0]->diagnose(state_);
 }
 
 void Session::set_state(const homme::State& global) {
-  if (global.size() != static_cast<std::size_t>(bundle_->mesh.nelem())) {
+  if (global.size() != state_.size()) {
     throw ConfigError("Session::set_state: state has " +
                       std::to_string(global.size()) + " elements, mesh has " +
-                      std::to_string(bundle_->mesh.nelem()));
+                      std::to_string(state_.size()));
   }
-  if (cfg_.nranks == 1) {
-    state_ = global;
-    return;
-  }
-  for (int r = 0; r < cfg_.nranks; ++r) {
-    locals_[static_cast<std::size_t>(r)] =
-        homme::gather_local(bundle_->partition, r, global);
-  }
+  state_ = global;
 }
 
 homme::CheckpointInfo Session::checkpoint_info() const {
@@ -501,24 +432,16 @@ homme::CheckpointInfo Session::checkpoint_info() const {
   info.nelem = state_.size();
   info.dims = dims_;
   info.config = cfg_.dycore_config();
-  info.config.dt = dycore_->dt();  // the resolved (auto-picked) values
-  info.config.nu = dycore_->nu();
+  info.config.dt = dycores_[0]->dt();  // the resolved (auto-picked) values
+  info.config.nu = dycores_[0]->nu();
   info.step_count = step_count_;
   info.rng_seed = cfg_.faults != nullptr ? cfg_.faults->seed() : 0;
   return info;
 }
 
 void Session::save(const std::string& base) {
-  if (cfg_.nranks == 1) {
-    homme::save_checkpoint(homme::checkpoint_rank_path(base, 0),
-                           checkpoint_info(), state_);
-    return;
-  }
-  cluster_->run([&](net::Rank& r) {
-    const auto i = static_cast<std::size_t>(r.rank());
-    pds_[i]->save(r, locals_[i], base,
-                  cfg_.faults != nullptr ? cfg_.faults->seed() : 0);
-  });
+  homme::save_checkpoint(homme::checkpoint_rank_path(base, 0),
+                         checkpoint_info(), state_);
 }
 
 void Session::adopt_restored(const homme::CheckpointInfo& info,
@@ -538,7 +461,7 @@ void Session::adopt_restored(const homme::CheckpointInfo& info,
         std::to_string(info.nelem) + ", session owns " +
         std::to_string(state_.size()) + ")");
   }
-  if (info.config.dt != dycore_->dt() || info.config.nu != dycore_->nu() ||
+  if (info.config.dt != dt() || info.config.nu != dycores_[0]->nu() ||
       info.config.remap_freq != cfg_.remap_freq) {
     throw homme::CheckpointError(
         what + ": config mismatch (file dt=" +
@@ -548,29 +471,20 @@ void Session::adopt_restored(const homme::CheckpointInfo& info,
   }
   state_ = std::move(s);
   step_count_ = static_cast<int>(info.step_count);
-  dycore_->set_step_count(step_count_);
+  for (auto& d : dycores_) d->set_step_count(step_count_);
 }
 
 void Session::restore(const std::string& base) {
-  if (cfg_.nranks == 1) {
-    homme::State loaded;
-    const homme::CheckpointInfo info = homme::load_checkpoint(
-        homme::checkpoint_rank_path(base, 0), loaded);
-    adopt_restored(info, std::move(loaded), "Session::restore");
-    return;
-  }
-  cluster_->run([&](net::Rank& r) {
-    const auto i = static_cast<std::size_t>(r.rank());
-    pds_[i]->restore(r, locals_[i], base);
-  });
-  step_count_ = pds_[0]->step_count();
+  homme::State loaded;
+  const homme::CheckpointInfo info =
+      homme::load_checkpoint(homme::checkpoint_rank_path(base, 0), loaded);
+  adopt_restored(info, std::move(loaded), "Session::restore");
 }
 
 void Session::save() {
   if (ckpt_writer_ == nullptr) {
     throw ConfigError("Session::save(): no delta-checkpoint writer — "
-                      "configure with_delta_checkpoints() on a sequential "
-                      "session");
+                      "configure with_delta_checkpoints()");
   }
   ckpt_writer_->save(checkpoint_info(), state_);
 }
@@ -578,8 +492,7 @@ void Session::save() {
 void Session::restore() {
   if (ckpt_writer_ == nullptr) {
     throw ConfigError("Session::restore(): no delta-checkpoint writer — "
-                      "configure with_delta_checkpoints() on a sequential "
-                      "session");
+                      "configure with_delta_checkpoints()");
   }
   ckpt_writer_->drain();  // the chain on disk must include every save()
   homme::State loaded;
@@ -589,12 +502,7 @@ void Session::restore() {
   adopt_restored(info, std::move(loaded), "Session::restore");
 }
 
-homme::StoreStats Session::store_stats() const {
-  if (cfg_.nranks == 1) return state_.stats();
-  homme::StoreStats total;
-  for (const auto& local : locals_) total += local.stats();
-  return total;
-}
+homme::StoreStats Session::store_stats() const { return state_.stats(); }
 
 homme::AsyncCheckpointWriter::Stats Session::checkpoint_stats() const {
   return ckpt_writer_ != nullptr ? ckpt_writer_->stats()

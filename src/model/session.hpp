@@ -6,11 +6,12 @@
 #include <string>
 #include <vector>
 
+#include "homme/bndry.hpp"
 #include "homme/checkpoint.hpp"
 #include "homme/driver.hpp"
-#include "homme/parallel_driver.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "mesh/partition.hpp"
+#include "net/mini_mpi.hpp"
 #include "obs/trace.hpp"
 #include "physics/driver.hpp"
 #include "scenario/init_spec.hpp"
@@ -21,14 +22,21 @@
 ///
 /// Before this facade every driver (13 benches, the examples, any new
 /// workload) re-assembled the same parts by hand: build a mesh, build a
-/// partition and comm plan, pick Dycore vs ParallelDycore, construct a
+/// partition and comm plan, build one dycore per rank, construct a
 /// PipelineAccelerator with the right geom_map, wire the tracer into
-/// every layer, remember the checkpoint collective protocol. A Session
-/// subsumes that construction soup behind one SessionConfig: resolution,
-/// decomposition, exchange mode, accelerator backend, physics, fault
-/// plan and checkpoint cadence are *config values*, not different call
-/// sites. The svc:: ensemble engine runs many Sessions concurrently over
-/// shared immutable MeshBundles.
+/// every layer. A Session subsumes that construction soup behind one
+/// SessionConfig: resolution, decomposition, exchange mode, accelerator
+/// backend, physics, fault plan and checkpoint cadence are *config
+/// values*, not different call sites. The svc:: ensemble engine runs
+/// many Sessions concurrently over shared immutable MeshBundles.
+///
+/// A Session keeps one global homme::State (mesh element order) at every
+/// rank count, and only the dynamics step knows about ranks: one rank
+/// steps it in place; N ranks gather COW per-rank views, step them
+/// collectively on the mini-MPI cluster and scatter them back. Physics,
+/// the monitor, diagnostics, state()/set_state(), checkpoints (full and
+/// delta) and fork() therefore work the same at any rank count, and a
+/// checkpoint saved at one rank count restores at any other.
 
 namespace accel {
 class PipelineAccelerator;
@@ -89,9 +97,9 @@ struct SessionConfig {
   scenario::InitSpec init_spec;
 
   // -- decomposition / exchange --------------------------------------------
-  int nranks = 1;                  ///< 1: sequential Dycore; >1: mini-MPI
+  int nranks = 1;                  ///< dycore ranks on the mini-MPI cluster
   homme::BndryExchange::Mode exchange = homme::BndryExchange::Mode::kOverlap;
-  double watchdog_s = 0.0;         ///< net watchdog bound (parallel only)
+  double watchdog_s = 0.0;         ///< net watchdog bound (N ranks only)
 
   // -- backend / physics ----------------------------------------------------
   Backend backend = Backend::kHost;
@@ -102,9 +110,9 @@ struct SessionConfig {
   phys::PhysicsConfig physics_cfg{};
 
   // -- accelerator core groups ----------------------------------------------
-  /// Core groups the pipeline backend runs on. Sequential sessions shard
+  /// Core groups the pipeline backend runs on. One-rank sessions shard
   /// each remap's elements across a private pool of this many groups
-  /// (deterministic modeled contention, bit-identical results); parallel
+  /// (deterministic modeled contention, bit-identical results); N-rank
   /// sessions build one shared pool and pin rank r to group r % N — the
   /// MPE-level decomposition feeding per-CG pipelines. Ignored on the
   /// host backend (analytic benches accept --core-groups uniformly).
@@ -120,9 +128,9 @@ struct SessionConfig {
   sw::FaultPlan* faults = nullptr;  ///< injected kernel/message faults
   int checkpoint_freq = 0;          ///< steps; 0 disables the cadence
   std::string checkpoint_base;      ///< required when checkpoint_freq > 0
-  /// 0: the cadence writes legacy full "<base>.r<rank>" images in the step
-  /// loop. K >= 1: sequential sessions checkpoint through the async delta
-  /// writer instead — a full "<base>.full" image every K saves, dirty-chunk
+  /// 0: the cadence writes legacy full "<base>.r0" images in the step
+  /// loop. K >= 1: the session checkpoints through the async delta writer
+  /// instead — a full "<base>.full" image every K saves, dirty-chunk
   /// "<base>.dN" records between, serialized off the stepping thread.
   int ckpt_full_interval = 0;
   bool monitor = false;             ///< StateMonitor after every step
@@ -240,14 +248,13 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Copy-on-write clone (sequential sessions only — throws ConfigError
-  /// when nranks > 1). The child shares the MeshBundle and aliases every
-  /// state chunk of the parent; the first write to a field un-shares just
-  /// that chunk, so forking N members costs refcount bumps, not N state
-  /// copies. The child continues from the parent's step_count (remap
-  /// cadence included). Its checkpoint cadence is disabled unless a new
-  /// \p checkpoint_base is given (children must not write over the
-  /// parent's chain).
+  /// Copy-on-write clone at any rank count. The child shares the
+  /// MeshBundle and aliases every state chunk of the parent; the first
+  /// write to a field un-shares just that chunk, so forking N members
+  /// costs refcount bumps, not N state copies. The child continues from
+  /// the parent's step_count (remap cadence included). Its checkpoint
+  /// cadence is disabled unless a new \p checkpoint_base is given
+  /// (children must not write over the parent's chain).
   std::unique_ptr<Session> fork(const std::string& checkpoint_base = "") const;
 
   // -- driving --------------------------------------------------------------
@@ -258,19 +265,20 @@ class Session {
   /// \p n steps, honoring the checkpoint cadence.
   void run(int n);
 
-  /// Conservation / sanity diagnostics (collective in parallel mode).
-  homme::Diagnostics diagnose();
+  /// Conservation / sanity diagnostics of the global state.
+  homme::Diagnostics diagnose() const;
 
   // -- state ----------------------------------------------------------------
 
-  /// Assembled global state (mesh element order), by value.
-  homme::State state() const;
-  /// Replace the model state (re-gathers rank-local views).
+  /// The global state (mesh element order), by value: a COW handle copy.
+  homme::State state() const { return state_; }
+  /// Replace the model state.
   void set_state(const homme::State& global);
 
   // -- resilience -----------------------------------------------------------
 
-  /// Checkpoint to "<base>.r<rank>" (every rank in parallel mode).
+  /// Checkpoint the global state to "<base>.r0" — one image at any rank
+  /// count, restorable at any other.
   void save(const std::string& base);
   /// Bit-identical inverse of save(); realigns the remap cadence.
   void restore(const std::string& base);
@@ -295,7 +303,7 @@ class Session {
   /// next delta save restarts the chain with a fresh full image.
   bool try_resume();
   /// Unconditional checkpoint to the configured base (async delta chain
-  /// when enabled, legacy "<base>.r<rank>" images otherwise). Returns
+  /// when enabled, the legacy "<base>.r0" image otherwise). Returns
   /// false when the config names no checkpoint_base. Used by the service
   /// layer to park in-flight members at drain time.
   bool checkpoint_now();
@@ -323,10 +331,10 @@ class Session {
   /// Physics diagnostics of the most recent step (physics mode only).
   const phys::PhysicsStats& physics_stats() const { return phys_stats_; }
 
-  /// COW memory accounting of this session's state (summed over rank
-  /// locals in parallel mode). resident_bytes is this member's amortized
-  /// share of the payloads it references — summing it over an ensemble's
-  /// sessions reproduces the true allocation.
+  /// COW memory accounting of this session's state. resident_bytes is
+  /// this member's amortized share of the payloads it references —
+  /// summing it over an ensemble's sessions reproduces the true
+  /// allocation.
   homme::StoreStats store_stats() const;
   /// Async delta-writer counters (all zero when the session checkpoints
   /// through the legacy synchronous path or not at all).
@@ -343,11 +351,13 @@ class Session {
   Session(const Session& parent, const std::string& checkpoint_base,
           ForkTag);
 
+  /// Initial condition on the global mesh, then wire().
   void build();
-  void init_ckpt_writer();
+  /// The runtime both constructors share: tracer, dycore(s) and cluster,
+  /// accelerators, physics, monitor and delta writer. \p dcfg carries the
+  /// resolved dt/nu when forking.
+  void wire(const homme::DycoreConfig& dcfg);
   void step_dynamics();
-  void check_monitor();
-  homme::State assemble() const;
   homme::CheckpointInfo checkpoint_info() const;
   void adopt_restored(const homme::CheckpointInfo& info, homme::State&& s,
                       const std::string& what);
@@ -358,15 +368,12 @@ class Session {
   int step_count_ = 0;
 
   std::unique_ptr<obs::Tracer> tracer_;
-
-  // Sequential mode (nranks == 1).
-  std::unique_ptr<homme::Dycore> dycore_;
+  /// The model state, mesh element order, at every rank count.
   homme::State state_;
-
-  // Parallel mode (nranks > 1): one dycore + local state per rank.
+  /// One driver per rank: the whole mesh on one rank, rank r's share of
+  /// the partition on N; the cluster runs them (N ranks only).
+  std::vector<std::unique_ptr<homme::Dycore>> dycores_;
   std::unique_ptr<net::Cluster> cluster_;
-  std::vector<std::unique_ptr<homme::ParallelDycore>> pds_;
-  std::vector<homme::State> locals_;
 
   // Backend / physics (accels_ is one per rank; empty on kHost).
   std::vector<std::unique_ptr<accel::PipelineAccelerator>> accels_;
@@ -374,7 +381,7 @@ class Session {
   phys::PhysicsStats phys_stats_;
   std::unique_ptr<homme::StateMonitor> monitor_;
 
-  // Async delta-checkpoint writer (sequential + ckpt_full_interval > 0).
+  // Async delta-checkpoint writer (ckpt_full_interval > 0).
   std::unique_ptr<homme::AsyncCheckpointWriter> ckpt_writer_;
 };
 

@@ -262,9 +262,27 @@ TEST(SessionFork, ChildContinuesBitIdenticallyAndSharesAtBirth) {
   parent.run(3);
   EXPECT_TRUE(states_bitwise_equal(child->state(), parent.state()));
 
-  // Forks of parallel sessions are refused, not silently deep-copied.
-  model::Session par(model::SessionConfig{cfg}.with_ranks(2));
-  EXPECT_THROW(par.fork(), model::ConfigError);
+}
+
+TEST(SessionFork, TwoRankForkIsCowAndContinuesBitIdentically) {
+  const model::SessionConfig cfg = model::SessionConfig{}
+                                       .with_ne(2)
+                                       .with_levels(4, 2)
+                                       .with_remap_freq(3)
+                                       .with_ranks(2);
+  model::Session parent(cfg);
+  parent.run(2);
+
+  auto child = parent.fork();
+  EXPECT_EQ(child->step_count(), parent.step_count());
+  EXPECT_EQ(child->config().nranks, 2);
+  const homme::StoreStats born = child->store_stats();
+  EXPECT_DOUBLE_EQ(born.shared_fraction(), 1.0);
+  EXPECT_EQ(born.exclusive_bytes, 0u);
+
+  child->run(3);
+  parent.run(3);
+  EXPECT_TRUE(states_bitwise_equal(child->state(), parent.state()));
 }
 
 // ---------------------------------------------------------------------------

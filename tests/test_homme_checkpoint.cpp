@@ -1,9 +1,8 @@
 // Resilience layer, recovery side: versioned checkpoints with per-field
 // CRCs must round-trip bit-identically (in memory and on disk), reject
 // corruption / version skew / config mismatch with typed errors, let a
-// killed multi-rank run restart bit-identically, and — through the
-// StateMonitor + ResilientRunner — roll a poisoned run back to the last
-// checkpoint and redo the faulty steps on the host path.
+// killed multi-rank session restart bit-identically, and let the
+// StateMonitor flag physically impossible states.
 
 #include "homme/checkpoint.hpp"
 
@@ -19,14 +18,13 @@
 #include <iterator>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "homme/driver.hpp"
 #include "homme/init.hpp"
-#include "homme/parallel_driver.hpp"
+#include "model/session.hpp"
 
 namespace {
 
@@ -487,181 +485,92 @@ TEST(StateMonitor, FlagsNegativeLayerMassAndPressureBounds) {
 }
 
 // ---------------------------------------------------------------------------
-// Collective save/restore and restart
+// Multi-rank restart through model::Session
 // ---------------------------------------------------------------------------
 
-struct ParallelFixture {
+/// ne3/L4 sessions over \p nranks ranks, started from a baroclinic wave
+/// with tracers.
+struct RestartFixture {
   mesh::CubedSphere mesh = mesh::CubedSphere::build(3, mesh::kEarthRadius);
   Dims d = small_dims();
-  mesh::Partition part;
-  mesh::CommPlan plan;
   State initial;
 
-  explicit ParallelFixture(int nranks)
-      : part(mesh::Partition::build(mesh, nranks)),
-        plan(mesh::CommPlan::build(mesh, part)) {
+  RestartFixture() {
     initial = homme::baroclinic(mesh, d, 25.0, 295.0, 4.0);
     homme::init_tracers(mesh, d, initial);
+  }
+
+  model::SessionConfig config(int nranks) const {
+    return model::SessionConfig{}.with_ne(3).with_levels(d.nlev, d.qsize)
+        .with_ranks(nranks);
+  }
+  std::unique_ptr<model::Session> session(
+      const model::SessionConfig& cfg) const {
+    auto s = std::make_unique<model::Session>(cfg);
+    s->set_state(initial);
+    return s;
   }
 };
 
 TEST(CheckpointRestart, KillAtStepKThenRestartIsBitIdentical) {
-  const int nranks = 4;
-  ParallelFixture fx(nranks);
+  RestartFixture fx;
+  const model::SessionConfig cfg = fx.config(4);
   const std::string base = ::testing::TempDir() + "swck_restart.ck";
-  std::mutex mu;
 
   // Reference: 6 uninterrupted steps.
-  State straight = fx.initial;
-  {
-    net::Cluster cluster(nranks);
-    cluster.run([&](net::Rank& r) {
-      homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                               homme::DycoreConfig{}, r.rank());
-      State local = pd.gather_local(fx.initial);
-      for (int s = 0; s < 6; ++s) pd.step(r, local);
-      std::lock_guard<std::mutex> lock(mu);
-      pd.scatter_local(local, straight);
-    });
-  }
+  auto straight = fx.session(cfg);
+  straight->run(6);
 
   // Run 3 steps, checkpoint, and "die" (the process state is discarded).
   {
-    net::Cluster cluster(nranks);
-    cluster.run([&](net::Rank& r) {
-      homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                               homme::DycoreConfig{}, r.rank());
-      State local = pd.gather_local(fx.initial);
-      for (int s = 0; s < 3; ++s) pd.step(r, local);
-      pd.save(r, local, base, /*rng_seed=*/99);
-    });
+    auto killed = fx.session(cfg);
+    killed->run(3);
+    killed->save(base);
   }
 
-  // Restart from the files alone and finish the remaining 3 steps.
-  State restarted = fx.initial;
-  {
-    net::Cluster cluster(nranks);
-    cluster.run([&](net::Rank& r) {
-      homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                               homme::DycoreConfig{}, r.rank());
-      State local;
-      pd.restore(r, local, base);
-      EXPECT_EQ(pd.step_count(), 3);
-      for (int s = 0; s < 3; ++s) pd.step(r, local);
-      std::lock_guard<std::mutex> lock(mu);
-      pd.scatter_local(local, restarted);
-    });
-  }
+  // Restart from the file alone and finish the remaining 3 steps.
+  model::Session restarted(cfg);
+  restarted.restore(base);
+  EXPECT_EQ(restarted.step_count(), 3);
+  restarted.run(3);
 
-  EXPECT_TRUE(states_bitwise_equal(straight, restarted));
+  EXPECT_TRUE(states_bitwise_equal(straight->state(), restarted.state()));
+  std::remove(homme::checkpoint_rank_path(base, 0).c_str());
 }
 
-TEST(CheckpointRestart, ConfigMismatchOnRestoreIsATypedError) {
-  const int nranks = 2;
-  ParallelFixture fx(nranks);
+TEST(CheckpointRestart, MismatchOnRestoreIsATypedError) {
+  RestartFixture fx;
+  const model::SessionConfig cfg = fx.config(2);
   const std::string base = ::testing::TempDir() + "swck_cfg_mismatch.ck";
+  fx.session(cfg)->save(base);
 
-  {
-    net::Cluster cluster(nranks);
-    cluster.run([&](net::Rank& r) {
-      homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                               homme::DycoreConfig{}, r.rank());
-      State local = pd.gather_local(fx.initial);
-      pd.save(r, local, base);
-    });
-  }
-
-  net::Cluster cluster(nranks);
-  homme::DycoreConfig other;
-  other.remap_freq = 5;
-  EXPECT_THROW(cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d, other,
-                             r.rank());
-    State local;
-    pd.restore(r, local, base);
-  }),
-               CheckpointError);
-}
-
-// ---------------------------------------------------------------------------
-// Rollback
-// ---------------------------------------------------------------------------
-
-/// An accelerator gone bad: every offloaded remap poisons the state. The
-/// monitor must catch it and the runner must redo the step on the host.
-struct PoisoningAccel final : homme::StepAccelerator {
-  void vertical_remap(State& s) override {
-    if (!s.empty()) {
-      s[0].T.mutable_span()[0] = std::numeric_limits<double>::quiet_NaN();
+  auto expect_refused = [&](const model::SessionConfig& other,
+                            const std::string& why) {
+    model::Session s(other);
+    const State before = s.state();
+    try {
+      s.restore(base);
+      ADD_FAILURE() << "restore into a session with a different " << why
+                    << " was accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
     }
-  }
-};
+    // A refused restore leaves the session as it was.
+    EXPECT_EQ(s.step_count(), 0);
+    EXPECT_TRUE(states_bitwise_equal(s.state(), before));
+  };
+  expect_refused(model::SessionConfig{cfg}.with_remap_freq(5),
+                 "config mismatch");
+  expect_refused(model::SessionConfig{cfg}.with_levels(6, 2),
+                 "dims mismatch");
+  expect_refused(model::SessionConfig{cfg}.with_ne(2),
+                 "element count mismatch");
 
-TEST(ResilientRunner, RollsBackPoisonedStepsAndMatchesHostRun) {
-  const int nranks = 4;
-  ParallelFixture fx(nranks);
-  const std::string base = ::testing::TempDir() + "swck_rollback.ck";
-  std::mutex mu;
-
-  // Reference: 6 steps, never accelerated.
-  State host_run = fx.initial;
-  {
-    net::Cluster cluster(nranks);
-    cluster.run([&](net::Rank& r) {
-      homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                               homme::DycoreConfig{}, r.rank());
-      State local = pd.gather_local(fx.initial);
-      for (int s = 0; s < 6; ++s) pd.step(r, local);
-      std::lock_guard<std::mutex> lock(mu);
-      pd.scatter_local(local, host_run);
-    });
-  }
-
-  // Resilient run with the poisoning accelerator attached. remap_freq is
-  // 3, so steps 3 and 6 offload (and get poisoned): two rollbacks, each
-  // redoing exactly one step on the host path.
-  State guarded = fx.initial;
-  homme::ResilienceStats stats;
-  {
-    net::Cluster cluster(nranks);
-    cluster.run([&](net::Rank& r) {
-      homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                               homme::DycoreConfig{}, r.rank());
-      PoisoningAccel bad;
-      pd.attach_accelerator(&bad);
-      homme::ResilientRunner runner(pd, base, /*checkpoint_freq=*/1);
-      State local = pd.gather_local(fx.initial);
-      runner.run(r, local, 6);
-      EXPECT_EQ(pd.accelerator(), &bad) << "accelerator must be reattached";
-      std::lock_guard<std::mutex> lock(mu);
-      pd.scatter_local(local, guarded);
-      if (r.rank() == 0) stats = runner.stats();
-    });
-  }
-
-  EXPECT_EQ(stats.rollbacks, 2);
-  EXPECT_EQ(stats.host_redo_steps, 2);
-  EXPECT_GE(stats.checkpoints, 5);
-  EXPECT_TRUE(states_bitwise_equal(host_run, guarded));
-}
-
-TEST(ResilientRunner, PersistentViolationIsRethrownNotLooped) {
-  const int nranks = 2;
-  ParallelFixture fx(nranks);
-  const std::string base = ::testing::TempDir() + "swck_persistent.ck";
-
-  net::Cluster cluster(nranks);
-  EXPECT_THROW(cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                             homme::DycoreConfig{}, r.rank());
-    homme::ResilientRunner runner(pd, base, /*checkpoint_freq=*/1);
-    // Bounds no real atmosphere can satisfy: the violation survives the
-    // host-path redo, so the runner must give up rather than loop.
-    runner.monitor().ps_max = 1.0;
-    State local = pd.gather_local(fx.initial);
-    runner.run(r, local, 2);
-  }),
-               CheckpointError);
+  // The matching config still restores.
+  model::Session ok(cfg);
+  EXPECT_NO_THROW(ok.restore(base));
+  std::remove(homme::checkpoint_rank_path(base, 0).c_str());
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
-#include "homme/parallel_driver.hpp"
+// The dycore at N ranks: rank r's driver steps its share of an SFC
+// partition with every DSS through bndry_exchangev, and the assembled
+// result must match the whole-mesh driver to DSS reassociation.
+
+#include "homme/driver.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <mutex>
+#include <stdexcept>
+#include <vector>
 
-#include "homme/driver.hpp"
 #include "homme/euler.hpp"
 #include "homme/init.hpp"
+#include "homme/local_state.hpp"
 
 namespace {
 
@@ -15,24 +20,30 @@ using homme::BndryExchange;
 using homme::Dims;
 using homme::State;
 
-/// Run the distributed dycore for `steps` over `nranks` ranks and return
-/// the assembled global state.
+/// Run the dycore for `steps` over `nranks` ranks and return the
+/// assembled global state.
 State run_parallel(const mesh::CubedSphere& m, const Dims& d,
                    const State& initial, int nranks, int steps,
                    BndryExchange::Mode mode) {
   auto part = mesh::Partition::build(m, nranks);
   auto plan = mesh::CommPlan::build(m, part);
-  State global = initial;
+  std::vector<State> locals;
+  for (int r = 0; r < nranks; ++r) {
+    locals.push_back(homme::gather_local(part, r, initial));
+  }
   net::Cluster cluster(nranks);
-  std::mutex mu;
   cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(m, part, plan, d, homme::DycoreConfig{},
-                             r.rank(), mode);
-    State local = pd.gather_local(initial);
-    for (int s = 0; s < steps; ++s) pd.step(r, local);
-    std::lock_guard<std::mutex> lock(mu);
-    pd.scatter_local(local, global);
+    homme::Dycore dy(m, part, plan, d, homme::DycoreConfig{}, r.rank(),
+                     mode);
+    for (int s = 0; s < steps; ++s) {
+      dy.step(r, locals[static_cast<std::size_t>(r.rank())]);
+    }
   });
+  State global = initial;
+  for (int r = 0; r < nranks; ++r) {
+    homme::scatter_local(part, r, locals[static_cast<std::size_t>(r)],
+                         global);
+  }
   return global;
 }
 
@@ -57,9 +68,9 @@ struct ParCase {
   BndryExchange::Mode mode;
 };
 
-class ParallelDycoreEquivalence : public ::testing::TestWithParam<ParCase> {};
+class DistributedDycore : public ::testing::TestWithParam<ParCase> {};
 
-TEST_P(ParallelDycoreEquivalence, MatchesSequentialDycore) {
+TEST_P(DistributedDycore, MatchesWholeMeshDycore) {
   const auto p = GetParam();
   auto m = mesh::CubedSphere::build(3, mesh::kEarthRadius);
   Dims d;
@@ -68,7 +79,7 @@ TEST_P(ParallelDycoreEquivalence, MatchesSequentialDycore) {
   auto initial = homme::baroclinic(m, d, 25.0, 295.0, 4.0);
   homme::init_tracers(m, d, initial);
 
-  // Sequential reference.
+  // Whole-mesh reference.
   State seq = initial;
   homme::Dycore dycore(m, d, homme::DycoreConfig{});
   const int steps = 4;
@@ -82,13 +93,14 @@ TEST_P(ParallelDycoreEquivalence, MatchesSequentialDycore) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RanksAndModes, ParallelDycoreEquivalence,
+    RanksAndModes, DistributedDycore,
     ::testing::Values(ParCase{1, BndryExchange::Mode::kOverlap},
                       ParCase{4, BndryExchange::Mode::kOriginal},
                       ParCase{4, BndryExchange::Mode::kOverlap},
+                      ParCase{7, BndryExchange::Mode::kOriginal},
                       ParCase{7, BndryExchange::Mode::kOverlap}));
 
-TEST(ParallelDycore, ConservesMassAcrossRanks) {
+TEST(DistributedDycoreMass, ConservesMassAcrossRanks) {
   auto m = mesh::CubedSphere::build(3, mesh::kEarthRadius);
   Dims d;
   d.nlev = 4;
@@ -96,59 +108,35 @@ TEST(ParallelDycore, ConservesMassAcrossRanks) {
   auto initial = homme::solid_body_rotation(m, d, 20.0);
   homme::init_tracers(m, d, initial);
 
-  auto part = mesh::Partition::build(m, 4);
-  auto plan = mesh::CommPlan::build(m, part);
-  net::Cluster cluster(4);
-  double mass0 = 0.0, mass1 = 0.0, tracer0 = 0.0, tracer1 = 0.0;
-  std::mutex mu;
-  State global = initial;
-  cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(m, part, plan, d, homme::DycoreConfig{},
-                             r.rank());
-    State local = pd.gather_local(initial);
-    const auto d0 = pd.diagnose(r, local);
-    for (int s = 0; s < 5; ++s) pd.step(r, local);
-    const auto d1 = pd.diagnose(r, local);
-    std::lock_guard<std::mutex> lock(mu);
-    mass0 = d0.dry_mass;
-    mass1 = d1.dry_mass;
-    pd.scatter_local(local, global);
-  });
+  const State global =
+      run_parallel(m, d, initial, 4, 5, BndryExchange::Mode::kOverlap);
+  const homme::Dycore whole(m, d, homme::DycoreConfig{});
+  const double mass0 = whole.diagnose(initial).dry_mass;
+  const double mass1 = whole.diagnose(global).dry_mass;
   EXPECT_NEAR(mass1, mass0, 1e-9 * mass0);
 
-  tracer0 = homme::tracer_mass(m, d, initial, 0);
-  tracer1 = homme::tracer_mass(m, d, global, 0);
+  const double tracer0 = homme::tracer_mass(m, d, initial, 0);
+  const double tracer1 = homme::tracer_mass(m, d, global, 0);
   EXPECT_NEAR(tracer1, tracer0, 1e-9 * tracer0);
 }
 
-TEST(ParallelDycore, DiagnosticsMatchSequential) {
+TEST(RankDycore, ResolvesLikeTheWholeMeshAndNeedsItsRank) {
   auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
   Dims d;
   d.nlev = 3;
   d.qsize = 0;
-  auto s = homme::baroclinic(m, d);
-  homme::Dycore dycore(m, d, homme::DycoreConfig{});
-  const auto ref = dycore.diagnose(s);
-
   auto part = mesh::Partition::build(m, 3);
   auto plan = mesh::CommPlan::build(m, part);
-  net::Cluster cluster(3);
-  homme::Diagnostics par;
-  std::mutex mu;
-  cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(m, part, plan, d, homme::DycoreConfig{},
-                             r.rank());
-    State local = pd.gather_local(s);
-    auto diag = pd.diagnose(r, local);
-    if (r.rank() == 0) {
-      std::lock_guard<std::mutex> lock(mu);
-      par = diag;
-    }
-  });
-  EXPECT_NEAR(par.dry_mass, ref.dry_mass, 1e-9 * ref.dry_mass);
-  EXPECT_NEAR(par.total_energy, ref.total_energy, 1e-9 * ref.total_energy);
-  EXPECT_NEAR(par.max_wind, ref.max_wind, 1e-9);
-  EXPECT_NEAR(par.min_dp, ref.min_dp, 1e-9 * ref.min_dp);
+  const homme::Dycore whole(m, d, homme::DycoreConfig{});
+  homme::Dycore rank1(m, part, plan, d, homme::DycoreConfig{}, 1);
+  // Auto dt and nu resolve from the mesh, not from the rank's share.
+  EXPECT_EQ(rank1.dt(), whole.dt());
+  EXPECT_EQ(rank1.nu(), whole.nu());
+
+  // Stepping a rank's share outside a collective step has no endpoint
+  // for its DSS: a typed error, not a hang.
+  State local = homme::gather_local(part, 1, homme::baroclinic(m, d));
+  EXPECT_THROW(rank1.step(local), std::logic_error);
 }
 
 }  // namespace

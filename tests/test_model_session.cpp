@@ -1,6 +1,8 @@
 // model::Session facade: config builder validation, bit-identity of a
 // Session against the raw homme::Dycore it subsumes, shared-bundle
-// construction, save/restore round trips, and the accelerator backend.
+// construction, save/restore round trips, the accelerator backend, and
+// every feature at N ranks (physics, delta checkpoints, restore at a
+// different rank count, a failed collective step).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "homme/driver.hpp"
 #include "homme/init.hpp"
 #include "model/session.hpp"
+#include "sw/fault.hpp"
 
 namespace {
 
@@ -88,8 +91,6 @@ TEST(SessionConfig, RejectsUnrealizableSettings) {
                ConfigError);
   EXPECT_THROW(SessionConfig{}.with_levels(8, 0).with_physics().validate(),
                ConfigError);
-  EXPECT_THROW(
-      SessionConfig{}.with_ranks(2).with_physics().validate(), ConfigError);
   // Checkpoint cadence without a base path.
   SessionConfig ck;
   ck.checkpoint_freq = 5;
@@ -195,7 +196,7 @@ TEST(Session, SaveRestoreRoundTripsBitIdentically) {
   t.run(3);
   expect_states_equal(t.state(), gold);
 
-  // Parallel restore is collective: every rank reloads its shard.
+  // At N ranks the session saves and restores its one global state.
   const std::string pbase = "test_model_session_par.ck";
   Session p(SessionConfig{cfg}.with_ranks(2));
   p.run(4);
@@ -208,10 +209,110 @@ TEST(Session, SaveRestoreRoundTripsBitIdentically) {
   q.run(3);
   expect_states_equal(q.state(), pgold);
 
-  for (int r = 0; r < 2; ++r) {
-    std::remove(homme::checkpoint_rank_path(base, r).c_str());
-    std::remove(homme::checkpoint_rank_path(pbase, r).c_str());
+  std::remove(homme::checkpoint_rank_path(base, 0).c_str());
+  std::remove(homme::checkpoint_rank_path(pbase, 0).c_str());
+}
+
+// -- features at any rank count ----------------------------------------------
+
+// Physics is column-local on the global state, so N ranks differ from one
+// rank only by the dynamics' DSS reassociation.
+TEST(SessionRanks, PhysicsAtTwoRanksMatchesOneRank) {
+  const int kSteps = 4;  // crosses a remap
+  const SessionConfig base = SessionConfig{}
+                                 .with_ne(2)
+                                 .with_levels(8, 2)
+                                 .with_moist()
+                                 .with_physics();
+  Session one(base);
+  one.run(kSteps);
+  Session two(SessionConfig{base}.with_ranks(2));
+  two.run(kSteps);
+
+  EXPECT_GT(one.physics_stats().mean_olr, 0.0);
+  EXPECT_NEAR(two.physics_stats().mean_olr, one.physics_stats().mean_olr,
+              1e-9 * one.physics_stats().mean_olr);
+  expect_states_near(two.state(), one.state());
+}
+
+TEST(SessionRanks, DeltaCheckpointsAtTwoRanksRestoreBitIdentically) {
+  const std::string base = ::testing::TempDir() + "session_delta_par.ck";
+  const SessionConfig plain =
+      SessionConfig{}.with_ne(2).with_levels(4, 2).with_ranks(2);
+  const SessionConfig cfg =
+      SessionConfig{plain}.with_delta_checkpoints(base, 1, 3);
+  {
+    Session s(cfg);
+    s.run(5);  // five saves: a full image every third, deltas between
+  }  // destruction drains the async writer: every save is on disk
+
+  Session straight(plain);
+  straight.run(5);
+  Session t(cfg);
+  t.restore();
+  EXPECT_EQ(t.step_count(), 5);
+  expect_states_equal(t.state(), straight.state());
+
+  // And it keeps stepping exactly like an uninterrupted run.
+  straight.run(2);
+  t.run(2);
+  expect_states_equal(t.state(), straight.state());
+}
+
+// A checkpoint holds the global state, so the rank count is free to
+// change at restart.
+TEST(SessionRanks, CheckpointAtTwoRanksRestoresAtOneAndThreeRanks) {
+  const std::string base = ::testing::TempDir() + "session_reshape.ck";
+  const SessionConfig cfg =
+      SessionConfig{}.with_ne(2).with_levels(8, 2).with_remap_freq(3);
+
+  Session straight(SessionConfig{cfg}.with_ranks(2));
+  straight.run(7);
+
+  Session saver(SessionConfig{cfg}.with_ranks(2));
+  saver.run(4);  // mid remap cycle
+  saver.save(base);
+
+  for (int nranks : {1, 3}) {
+    SCOPED_TRACE("restore at " + std::to_string(nranks) + " ranks");
+    Session resumed(SessionConfig{cfg}.with_ranks(nranks));
+    resumed.restore(base);
+    EXPECT_EQ(resumed.step_count(), 4);
+    resumed.run(3);
+    expect_states_near(resumed.state(), straight.state());
   }
+  std::remove(homme::checkpoint_rank_path(base, 0).c_str());
+}
+
+// Ranks step COW views of the global state; a collective step that fails
+// is never scattered back, and the next step picks up the remap cadence
+// where the last good one left it.
+TEST(SessionRanks, FailedStepLeavesTheLastGoodState) {
+  const SessionConfig cfg = SessionConfig{}
+                                .with_ne(2)
+                                .with_levels(4, 2)
+                                .with_remap_freq(2)
+                                .with_ranks(2)
+                                .with_watchdog(0.2);
+  // Each step sends 33 DSS messages per rank here. The truncation hits
+  // rank 0's last send of step 2: rank 1's receive refuses it while
+  // rank 0 finishes the step, so the two drivers' step counts disagree
+  // until the session realigns them.
+  sw::FaultPlan plan(7);
+  plan.inject({sw::FaultKind::kMsgTruncate, /*target=*/0, /*op_index=*/65});
+  Session faulty(SessionConfig{cfg}.with_faults(&plan));
+  faulty.step();
+  EXPECT_EQ(plan.fired_count(), 0u);
+  const homme::State good = faulty.state();
+  EXPECT_THROW(faulty.step(), net::CommFault);
+  EXPECT_EQ(plan.fired_count(), 1u);
+  EXPECT_EQ(faulty.step_count(), 1);
+  expect_states_equal(faulty.state(), good);
+
+  Session clean(cfg);
+  clean.run(3);  // the retried run crosses the step-2 remap
+  faulty.run(2);
+  expect_states_equal(faulty.state(), clean.state());
 }
 
 TEST(Session, CheckpointCadenceWritesDuringRun) {

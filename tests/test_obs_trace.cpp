@@ -9,8 +9,9 @@
 #include <new>
 #include <string>
 
+#include "homme/driver.hpp"
 #include "homme/init.hpp"
-#include "homme/parallel_driver.hpp"
+#include "homme/local_state.hpp"
 #include "obs/trace.hpp"
 
 // -- allocation counting (for DisabledTracingAllocatesNothing) --------------
@@ -199,10 +200,10 @@ std::string traced_step(homme::BndryExchange::Mode mode) {
   net::Cluster cluster(2);
   cluster.set_tracer(&tracer);
   cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(m, part, plan, d, cfg, r.rank(), mode);
-    pd.set_tracer(&tracer);
-    homme::State local = pd.gather_local(global);
-    pd.step(r, local);
+    homme::Dycore dy(m, part, plan, d, cfg, r.rank(), mode);
+    dy.set_tracer(&tracer);
+    homme::State local = homme::gather_local(part, r.rank(), global);
+    dy.step(r, local);
   });
   return tracer.chrome_trace();
 }

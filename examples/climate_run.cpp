@@ -1,18 +1,22 @@
 // A small end-to-end "production" run: dynamics + physics integrated for
 // a few simulated days on an aquaplanet, with periodic history output in
-// the model's self-describing binary format and a restart file at the
-// end — the whole-application-with-I/O configuration the paper times.
+// the model's self-describing binary format and a restart checkpoint at
+// the end — the whole-application-with-I/O configuration the paper times.
 //
 // The workload is the "aquaplanet" entry of the scenario:: registry; this
-// example only overrides the resolution and drives the history/restart
-// I/O around the returned model::Session.
+// example only overrides the resolution, names the session's checkpoint
+// base, and drives the history I/O around the model::Session. The restart
+// is the session's own checkpoint chain ("<dir>/swcam_restart.full"),
+// read back once to prove it restores.
 //
 //   ./climate_run [ne] [nlev] [days] [output_dir]
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
+#include "homme/checkpoint.hpp"
 #include "io/model_io.hpp"
 #include "scenario/registry.hpp"
 
@@ -25,7 +29,10 @@ int main(int argc, char** argv) {
   scenario::Overrides ov;
   ov.ne = ne;
   ov.nlev = nlev;
-  auto session = scenario::get("aquaplanet").session(ov);
+  const std::string restart = outdir + "/swcam_restart";
+  auto session = std::make_unique<model::Session>(
+      scenario::get("aquaplanet").config(ov).with_delta_checkpoints(
+          restart, /*freq=*/0, /*full_interval=*/4));
   const homme::Dims& dims = session->dims();
 
   const int steps =
@@ -60,12 +67,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string restart = outdir + "/swcam_restart.bin";
-  if (!io::write_restart(restart, dims, session->state())) {
-    std::fprintf(stderr, "failed to write restart\n");
+  // restore() drains the async writer, so a failed write surfaces here.
+  try {
+    session->checkpoint_now();
+    session->restore();
+  } catch (const homme::CheckpointError& e) {
+    std::fprintf(stderr, "failed to write restart: %s\n", e.what());
     return 1;
   }
-  std::printf("restart written to %s\n", restart.c_str());
+  std::printf("restart checkpoint written to %s.full\n", restart.c_str());
 
   // Prove the history is readable.
   io::HistoryReader reader(outdir + "/swcam_history_0.bin");

@@ -207,7 +207,23 @@ CheckpointInfo deserialize_checkpoint(std::span<const std::uint8_t> image,
                           std::to_string(info.dims.qsize) + ")");
   }
 
+  // Bound the header's shape by the bytes left before allocating for it:
+  // a corrupt nelem/nlev/qsize must be a CheckpointError, not bad_alloc.
+  // Each element is six (count, doubles, CRC) records; the divisions
+  // keep every product below from overflowing.
+  const std::size_t left = image.size() - r.pos;
   const std::size_t fs = info.dims.field_size();
+  const std::size_t fields = 4 + static_cast<std::size_t>(info.dims.qsize);
+  if (fs > left / sizeof(double) / fields ||
+      info.nelem > left / ((fields * fs + kNpp) * sizeof(double) +
+                           6 * (sizeof(std::uint64_t) +
+                                sizeof(std::uint32_t)))) {
+    throw CheckpointError(
+        "checkpoint: header shape (nelem=" + std::to_string(info.nelem) +
+        ", nlev=" + std::to_string(info.dims.nlev) + ", qsize=" +
+        std::to_string(info.dims.qsize) + ") does not fit the " +
+        std::to_string(left) + " bytes of records");
+  }
   s.assign(static_cast<std::size_t>(info.nelem), ElementState(info.dims));
   for (std::size_t e = 0; e < s.size(); ++e) {
     ElementState& es = s[e];
@@ -243,10 +259,6 @@ CheckpointInfo load_checkpoint(const std::string& path, State& s) {
   return deserialize_checkpoint(image, s);
 }
 
-std::string checkpoint_rank_path(const std::string& base, int rank) {
-  return base + ".r" + std::to_string(rank);
-}
-
 // ---------------------------------------------------------------------------
 // Delta checkpoints
 // ---------------------------------------------------------------------------
@@ -258,6 +270,17 @@ std::string delta_path(const std::string& base, int k) {
 }
 
 std::string full_path(const std::string& base) { return base + ".full"; }
+
+/// True when two headers describe the same run: shape, flags and the
+/// dycore settings a restart depends on (step_count may differ).
+bool same_run(const CheckpointInfo& a, const CheckpointInfo& b) {
+  return a.nelem == b.nelem && a.dims.nlev == b.dims.nlev &&
+         a.dims.qsize == b.dims.qsize && a.dims.moist == b.dims.moist &&
+         a.config.limit_tracers == b.config.limit_tracers &&
+         a.config.hypervis_on == b.config.hypervis_on &&
+         a.config.remap_freq == b.config.remap_freq &&
+         a.config.dt == b.config.dt && a.config.nu == b.config.nu;
+}
 
 /// Expected double count of chunk \p id given the header dims.
 std::size_t chunk_expected_size(std::size_t id, const Dims& d) {
@@ -395,10 +418,16 @@ DeltaInfo apply_delta_checkpoint(std::span<const std::uint8_t> image,
                             std::to_string(id) + " out of range (state has " +
                             std::to_string(nchunks) + " chunks)");
     }
+    Chunk& chunk = state_chunk(s, static_cast<std::size_t>(id));
     const std::size_t expected =
         chunk_expected_size(static_cast<std::size_t>(id), info.dims);
-    get_payload(r, state_chunk(s, static_cast<std::size_t>(id)), expected,
-                "chunk", static_cast<std::size_t>(id));
+    if (expected != chunk.size()) {
+      throw CheckpointError(
+          "delta checkpoint: chunk " + std::to_string(id) + " is " +
+          std::to_string(expected) + " values under the record's dims, " +
+          std::to_string(chunk.size()) + " in the state");
+    }
+    get_payload(r, chunk, expected, "chunk", static_cast<std::size_t>(id));
   }
   if (r.pos != image.size()) {
     throw CheckpointError("delta checkpoint: " +
@@ -465,6 +494,11 @@ CheckpointInfo DeltaCheckpointWriter::restore_chain(const std::string& base,
     if (!f) throw CheckpointError("checkpoint: short read from " + path);
 
     const DeltaInfo di = apply_delta_checkpoint(image, s);
+    if (!same_run(di.info, info)) {
+      throw CheckpointError(
+          "delta checkpoint: " + path + " is not from the run of " +
+          full_path(base) + " (dims, flags, dt, nu or remap_freq differ)");
+    }
     if (k == 1) {
       chain_base = di.base_seq;
     } else if (di.base_seq != chain_base || di.seq != prev_seq + 1) {

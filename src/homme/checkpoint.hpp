@@ -26,8 +26,9 @@
 /// machinery: periodic checkpoints with per-field CRCs and a StateMonitor
 /// that catches physically impossible states (NaN, non-positive layer
 /// mass, runaway surface pressure) before they propagate. model::Session
-/// runs the monitor after every step and svc::Server resumes a failed
-/// member from its last checkpoint. Restart from a checkpoint is
+/// runs the monitor after every step, checkpoints only through an
+/// AsyncCheckpointWriter's full+delta chain, and svc::Server resumes a
+/// failed member from its last checkpoint. Restart from a checkpoint is
 /// bit-identical to never having stopped.
 ///
 /// Checkpoint format (native-endian, in-process):
@@ -37,7 +38,9 @@
 ///   records : per element, fields u1, u2, T, dp, qdp, phis in order,
 ///             each as (count:u64, doubles, payload CRC32)
 /// Version is checked before the CRC so a reader of a future format fails
-/// with "unsupported version" rather than a checksum mismatch.
+/// with "unsupported version" rather than a checksum mismatch, and the
+/// header's shape is checked against the image size before any
+/// allocation.
 ///
 /// Delta checkpoint format ("SWDK", native-endian), layered on top:
 ///   header  : magic "SWDK" (0x5357444B), version, base_seq, seq, then the
@@ -95,10 +98,6 @@ void save_checkpoint(const std::string& path, const CheckpointInfo& info,
                      const State& s);
 CheckpointInfo load_checkpoint(const std::string& path, State& s);
 
-/// Checkpoint image file name "<base>.r<rank>". model::Session writes its
-/// one global state as "<base>.r0" at every rank count.
-std::string checkpoint_rank_path(const std::string& base, int rank);
-
 // ---------------------------------------------------------------------------
 // Delta checkpoints
 // ---------------------------------------------------------------------------
@@ -149,8 +148,10 @@ class DeltaCheckpointWriter {
   SaveRecord save(const CheckpointInfo& info, const State& s);
 
   /// Load "<base>.full" then apply every "<base>.dN" in order, validating
-  /// chain continuity (consecutive seqs, one base). Returns the newest
-  /// header (whose step_count reflects the last applied record).
+  /// chain continuity (consecutive seqs, one base) and that every record
+  /// is from the full image's run (same dims, flags, dt, nu and
+  /// remap_freq). Returns the newest header (whose step_count reflects
+  /// the last applied record).
   static CheckpointInfo restore_chain(const std::string& base, State& s);
 
   struct Totals {

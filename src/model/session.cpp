@@ -78,10 +78,6 @@ void SessionConfig::validate() const {
   if (ckpt_full_interval < 0) {
     throw ConfigError("SessionConfig: ckpt_full_interval must be >= 0");
   }
-  if (ckpt_full_interval > 0 && checkpoint_base.empty()) {
-    throw ConfigError("SessionConfig: delta checkpoints need a "
-                      "checkpoint_base path");
-  }
   if (watchdog_s < 0.0) {
     throw ConfigError("SessionConfig: watchdog_s must be >= 0");
   }
@@ -288,7 +284,7 @@ void Session::wire(const homme::DycoreConfig& dcfg) {
   if (cfg_.monitor) {
     monitor_ = std::make_unique<homme::StateMonitor>(dims_);
   }
-  if (cfg_.ckpt_full_interval > 0 && !cfg_.checkpoint_base.empty()) {
+  if (!cfg_.checkpoint_base.empty()) {
     ckpt_writer_ = std::make_unique<homme::AsyncCheckpointWriter>(
         cfg_.checkpoint_base, cfg_.ckpt_full_interval);
   }
@@ -309,7 +305,6 @@ Session::Session(const Session& parent, const std::string& checkpoint_base,
   if (checkpoint_base.empty()) {
     cfg_.checkpoint_freq = 0;
     cfg_.checkpoint_base.clear();
-    cfg_.ckpt_full_interval = 0;
   } else {
     cfg_.checkpoint_base = checkpoint_base;
   }
@@ -376,12 +371,8 @@ void Session::run(int n) {
 }
 
 bool Session::checkpoint_now() {
-  if (cfg_.checkpoint_base.empty()) return false;
-  if (ckpt_writer_ != nullptr) {
-    save();  // async delta chain; serialization off this thread
-  } else {
-    save(cfg_.checkpoint_base);
-  }
+  if (ckpt_writer_ == nullptr) return false;
+  ckpt_writer_->save(checkpoint_info(), state_);
   return true;
 }
 
@@ -393,12 +384,8 @@ bool Session::maybe_checkpoint() {
 }
 
 bool Session::can_resume() const {
-  if (cfg_.checkpoint_base.empty()) return false;
-  const std::string path =
-      ckpt_writer_ != nullptr
-          ? cfg_.checkpoint_base + ".full"
-          : homme::checkpoint_rank_path(cfg_.checkpoint_base, 0);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (ckpt_writer_ == nullptr) return false;
+  std::FILE* f = std::fopen((cfg_.checkpoint_base + ".full").c_str(), "rb");
   if (f == nullptr) return false;
   std::fclose(f);
   return true;
@@ -406,11 +393,7 @@ bool Session::can_resume() const {
 
 bool Session::try_resume() {
   if (!can_resume()) return false;
-  if (ckpt_writer_ != nullptr) {
-    restore();
-  } else {
-    restore(cfg_.checkpoint_base);
-  }
+  restore();
   return true;
 }
 
@@ -439,17 +422,19 @@ homme::CheckpointInfo Session::checkpoint_info() const {
   return info;
 }
 
-void Session::save(const std::string& base) {
-  homme::save_checkpoint(homme::checkpoint_rank_path(base, 0),
-                         checkpoint_info(), state_);
-}
-
-void Session::adopt_restored(const homme::CheckpointInfo& info,
-                             homme::State&& s, const std::string& what) {
+void Session::restore() {
+  if (ckpt_writer_ == nullptr) {
+    throw ConfigError("Session::restore(): no checkpoint_base configured");
+  }
+  ckpt_writer_->drain();  // the chain on disk must include every save
+  homme::State loaded;
+  const homme::CheckpointInfo info =
+      homme::DeltaCheckpointWriter::restore_chain(ckpt_writer_->base(),
+                                                  loaded);
   if (info.dims.nlev != dims_.nlev || info.dims.qsize != dims_.qsize ||
       info.dims.moist != dims_.moist) {
     throw homme::CheckpointError(
-        what + ": dims mismatch (file nlev=" +
+        "Session::restore: dims mismatch (file nlev=" +
         std::to_string(info.dims.nlev) + " qsize=" +
         std::to_string(info.dims.qsize) + ", session nlev=" +
         std::to_string(dims_.nlev) + " qsize=" +
@@ -457,49 +442,21 @@ void Session::adopt_restored(const homme::CheckpointInfo& info,
   }
   if (info.nelem != state_.size()) {
     throw homme::CheckpointError(
-        what + ": element count mismatch (file has " +
+        "Session::restore: element count mismatch (file has " +
         std::to_string(info.nelem) + ", session owns " +
         std::to_string(state_.size()) + ")");
   }
   if (info.config.dt != dt() || info.config.nu != dycores_[0]->nu() ||
       info.config.remap_freq != cfg_.remap_freq) {
     throw homme::CheckpointError(
-        what + ": config mismatch (file dt=" +
+        "Session::restore: config mismatch (file dt=" +
         std::to_string(info.config.dt) + " nu=" +
         std::to_string(info.config.nu) + " remap_freq=" +
         std::to_string(info.config.remap_freq) + ")");
   }
-  state_ = std::move(s);
+  state_ = std::move(loaded);
   step_count_ = static_cast<int>(info.step_count);
   for (auto& d : dycores_) d->set_step_count(step_count_);
-}
-
-void Session::restore(const std::string& base) {
-  homme::State loaded;
-  const homme::CheckpointInfo info =
-      homme::load_checkpoint(homme::checkpoint_rank_path(base, 0), loaded);
-  adopt_restored(info, std::move(loaded), "Session::restore");
-}
-
-void Session::save() {
-  if (ckpt_writer_ == nullptr) {
-    throw ConfigError("Session::save(): no delta-checkpoint writer — "
-                      "configure with_delta_checkpoints()");
-  }
-  ckpt_writer_->save(checkpoint_info(), state_);
-}
-
-void Session::restore() {
-  if (ckpt_writer_ == nullptr) {
-    throw ConfigError("Session::restore(): no delta-checkpoint writer — "
-                      "configure with_delta_checkpoints()");
-  }
-  ckpt_writer_->drain();  // the chain on disk must include every save()
-  homme::State loaded;
-  const homme::CheckpointInfo info =
-      homme::DeltaCheckpointWriter::restore_chain(ckpt_writer_->base(),
-                                                  loaded);
-  adopt_restored(info, std::move(loaded), "Session::restore");
 }
 
 homme::StoreStats Session::store_stats() const { return state_.stats(); }

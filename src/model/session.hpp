@@ -127,12 +127,14 @@ struct SessionConfig {
   // -- resilience -----------------------------------------------------------
   sw::FaultPlan* faults = nullptr;  ///< injected kernel/message faults
   int checkpoint_freq = 0;          ///< steps; 0 disables the cadence
-  std::string checkpoint_base;      ///< required when checkpoint_freq > 0
-  /// 0: the cadence writes legacy full "<base>.r0" images in the step
-  /// loop. K >= 1: the session checkpoints through the async delta writer
-  /// instead — a full "<base>.full" image every K saves, dirty-chunk
-  /// "<base>.dN" records between, serialized off the stepping thread.
-  int ckpt_full_interval = 0;
+  /// Where the checkpoint chain lives; required when checkpoint_freq > 0.
+  /// A non-empty base gives the session an async writer: every save is a
+  /// COW snapshot serialized off the stepping thread into "<base>.full"
+  /// (an SWCK image) and dirty-chunk "<base>.dN" SWDK records.
+  std::string checkpoint_base;
+  /// A full image every K saves, deltas between; 0 or 1: every save is
+  /// a full image.
+  int ckpt_full_interval = 4;
   bool monitor = false;             ///< StateMonitor after every step
 
   // -- observability --------------------------------------------------------
@@ -179,9 +181,6 @@ struct SessionConfig {
   }
   SessionConfig& with_faults(sw::FaultPlan* plan) {
     faults = plan; return *this;
-  }
-  SessionConfig& with_checkpoints(std::string base, int freq) {
-    checkpoint_base = std::move(base); checkpoint_freq = freq; return *this;
   }
   SessionConfig& with_delta_checkpoints(std::string base, int freq,
                                         int full_interval) {
@@ -277,35 +276,28 @@ class Session {
 
   // -- resilience -----------------------------------------------------------
 
-  /// Checkpoint the global state to "<base>.r0" — one image at any rank
-  /// count, restorable at any other.
-  void save(const std::string& base);
-  /// Bit-identical inverse of save(); realigns the remap cadence.
-  void restore(const std::string& base);
+  // A checkpoint holds the global state, so it restores at any rank
+  // count. Every save and restore goes through the configured base's
+  // full+delta chain.
 
-  /// Delta-checkpoint save through the async writer (requires
-  /// ckpt_full_interval > 0 in the config): takes a COW snapshot and
-  /// returns; serialization and I/O happen off the stepping thread.
-  void save();
-  /// Drain the async writer, then restore from the full+delta chain at
-  /// the configured base. Bit-identical to the last save().
+  /// Drain the async writer, then restore from the chain at the
+  /// configured base: bit-identical to the last checkpoint_now(), remap
+  /// cadence included. Throws ConfigError without a checkpoint_base and
+  /// CheckpointError on a corrupt or mismatched chain (the session is
+  /// then left as it was).
   void restore();
 
-  /// True when a restartable checkpoint for this config exists on disk:
-  /// the delta chain's "<base>.full" when delta checkpoints are enabled,
-  /// the legacy "<base>.r0" image otherwise. Always false without a
-  /// configured checkpoint_base.
+  /// True when the configured base's "<base>.full" exists on disk.
+  /// Always false without a configured checkpoint_base.
   bool can_resume() const;
-  /// Restore from the configured checkpoint base when one exists on
-  /// disk; returns false (leaving the fresh initial state untouched)
-  /// when none does. Throws CheckpointError on a corrupt or mismatched
-  /// file. Resuming realigns step_count and the remap cadence, and the
-  /// next delta save restarts the chain with a fresh full image.
+  /// restore() when can_resume(); returns false (leaving the fresh
+  /// initial state untouched) otherwise. The next save after a resume
+  /// starts the chain over with a fresh full image.
   bool try_resume();
-  /// Unconditional checkpoint to the configured base (async delta chain
-  /// when enabled, the legacy "<base>.r0" image otherwise). Returns
-  /// false when the config names no checkpoint_base. Used by the service
-  /// layer to park in-flight members at drain time.
+  /// Checkpoint to the configured base: takes a COW snapshot and
+  /// returns; serialization and I/O happen off the stepping thread.
+  /// Returns false when the config names no checkpoint_base. Used by the
+  /// cadence and by the service layer to park in-flight members.
   bool checkpoint_now();
   /// Apply the checkpoint cadence after a step: checkpoints when
   /// checkpoint_freq > 0 divides step_count(). Returns whether it did.
@@ -336,8 +328,8 @@ class Session {
   /// summing it over an ensemble's sessions reproduces the true
   /// allocation.
   homme::StoreStats store_stats() const;
-  /// Async delta-writer counters (all zero when the session checkpoints
-  /// through the legacy synchronous path or not at all).
+  /// Async checkpoint-writer counters (all zero without a
+  /// checkpoint_base).
   homme::AsyncCheckpointWriter::Stats checkpoint_stats() const;
 
   /// The session's own tracer: every layer (dycore, exchange, net,
@@ -354,13 +346,11 @@ class Session {
   /// Initial condition on the global mesh, then wire().
   void build();
   /// The runtime both constructors share: tracer, dycore(s) and cluster,
-  /// accelerators, physics, monitor and delta writer. \p dcfg carries the
-  /// resolved dt/nu when forking.
+  /// accelerators, physics, monitor and checkpoint writer. \p dcfg
+  /// carries the resolved dt/nu when forking.
   void wire(const homme::DycoreConfig& dcfg);
   void step_dynamics();
   homme::CheckpointInfo checkpoint_info() const;
-  void adopt_restored(const homme::CheckpointInfo& info, homme::State&& s,
-                      const std::string& what);
 
   SessionConfig cfg_;
   std::shared_ptr<const MeshBundle> bundle_;
@@ -381,7 +371,7 @@ class Session {
   phys::PhysicsStats phys_stats_;
   std::unique_ptr<homme::StateMonitor> monitor_;
 
-  // Async delta-checkpoint writer (ckpt_full_interval > 0).
+  // Async checkpoint writer (non-empty checkpoint_base).
   std::unique_ptr<homme::AsyncCheckpointWriter> ckpt_writer_;
 };
 

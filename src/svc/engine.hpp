@@ -198,13 +198,13 @@ struct EngineStats {
   std::size_t mesh_bytes_unshared = 0;   ///< hypothetical per-member total
 
   // COW state + checkpoint accounting, sampled from each member after its
-  // last step (homme::StoreStats / the async delta-writer counters).
+  // last step (homme::StoreStats / the async checkpoint-writer counters).
   std::uint64_t state_samples = 0;        ///< members that reported state
   std::uint64_t state_logical_bytes = 0;  ///< fully-private state cost
   std::uint64_t state_resident_bytes = 0; ///< amortized COW-shared cost
   std::uint64_t state_chunks = 0;         ///< chunk slots sampled
   std::uint64_t state_shared_chunks = 0;  ///< slots aliased by other owners
-  std::uint64_t checkpoint_saves = 0;     ///< async delta-writer saves
+  std::uint64_t checkpoint_saves = 0;     ///< checkpoint-chain saves
   std::uint64_t checkpoint_bytes = 0;     ///< bytes those saves wrote
 
   // Core-group placement telemetry (all zero when cg_pools == 0).

@@ -107,11 +107,9 @@ struct ServerConfig {
   /// members from step 0 (still digest-correct, just slower).
   std::string checkpoint_dir;
   /// Cadence (steps) applied to member configs that have none; gives
-  /// faulted members something to resume from mid-run.
+  /// faulted members something to resume from mid-run. Members write
+  /// the Session's full+delta chain at its own full-image interval.
   int checkpoint_freq = 8;
-  /// Delta-chain full-image interval applied to member configs that have
-  /// none (members at every rank count).
-  int ckpt_full_interval = 4;
 };
 
 /// The long-running service front-end. All public methods are thread

@@ -30,7 +30,14 @@ class LdmOverflow : public std::runtime_error {
 
 class Ldm {
  public:
-  Ldm() : storage_(std::make_unique<std::byte[]>(kLdmBytes)) {}
+  /// operator new[] of bytes only guarantees 16-byte alignment, so the
+  /// scratchpad starts at the first 32-byte boundary of a slightly larger
+  /// buffer; 32-byte aligned offsets then give 32-byte aligned pointers.
+  Ldm() : storage_(std::make_unique<std::byte[]>(kLdmBytes + 31)) {
+    void* p = storage_.get();
+    std::size_t space = kLdmBytes + 31;
+    base_ = static_cast<std::byte*>(std::align(32, kLdmBytes, p, space));
+  }
 
   Ldm(const Ldm&) = delete;
   Ldm& operator=(const Ldm&) = delete;
@@ -48,7 +55,7 @@ class Ldm {
                         " bytes with " + std::to_string(kLdmBytes - aligned_top) +
                         " free of " + std::to_string(kLdmBytes));
     }
-    T* p = reinterpret_cast<T*>(storage_.get() + aligned_top);
+    T* p = reinterpret_cast<T*>(base_ + aligned_top);
     top_ = aligned_top + bytes;
     if (top_ > peak_) peak_ = top_;
     return {p, count};
@@ -67,6 +74,7 @@ class Ldm {
 
  private:
   std::unique_ptr<std::byte[]> storage_;
+  std::byte* base_ = nullptr;
   std::size_t top_ = 0;
   std::size_t peak_ = 0;
 };

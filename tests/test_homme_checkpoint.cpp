@@ -1,7 +1,8 @@
 // Resilience layer, recovery side: versioned checkpoints with per-field
 // CRCs must round-trip bit-identically (in memory and on disk), reject
-// corruption / version skew / config mismatch with typed errors, let a
-// killed multi-rank session restart bit-identically, and let the
+// corruption / version skew / spliced or oversized records / config
+// mismatch with typed errors, let a killed session restart
+// bit-identically from its chain at 1-4 ranks, and let the
 // StateMonitor flag physically impossible states.
 
 #include "homme/checkpoint.hpp"
@@ -20,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "homme/driver.hpp"
@@ -38,6 +40,26 @@ Dims small_dims() {
   d.nlev = 4;
   d.qsize = 2;
   return d;
+}
+
+/// Remove a checkpoint chain: "<base>.full" and its "<base>.dN" deltas.
+void remove_chain(const std::string& base) {
+  std::remove((base + ".full").c_str());
+  for (int k = 1; std::remove((base + ".d" + std::to_string(k)).c_str()) == 0;
+       ++k) {
+  }
+}
+
+/// Whole-file read and write, for splicing chain records by hand.
+std::vector<char> slurp(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(f),
+                           std::istreambuf_iterator<char>());
+}
+
+void spit(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 bool states_bitwise_equal(const State& a, const State& b) {
@@ -287,11 +309,18 @@ TEST(AsyncCheckpoint, BlockedFinalSaveSurvivesTeardownRace) {
   const std::string base = ::testing::TempDir() + "swdk_async_race.ck";
   auto writer = std::make_unique<homme::AsyncCheckpointWriter>(
       base, /*full_interval=*/1, /*max_pending=*/1);
+  // The hook raises `held` once the background thread has popped a job
+  // and is parked on `gate`, so the queue's one slot is provably free.
+  std::atomic<bool> held{false};
   std::atomic<bool> gate{false};
-  writer->set_write_hook([&gate] {
+  writer->set_write_hook([&held, &gate] {
+    held.store(true);
     while (!gate.load()) std::this_thread::sleep_for(
         std::chrono::milliseconds(1));
   });
+  auto wait_for = [](const auto& done) {
+    while (!done()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
 
   CheckpointInfo info = make_info(d, s);
   auto save_step = [&] {
@@ -300,16 +329,19 @@ TEST(AsyncCheckpoint, BlockedFinalSaveSurvivesTeardownRace) {
     writer->save(info, s);
   };
   save_step();  // popped by the background thread, held at the hook
-  save_step();  // fills the single queue slot
+  wait_for([&] { return held.load(); });
+  save_step();  // fills the single queue slot without blocking
   const State final_state = [&] {
     dycore.step(s);
     return s;
   }();
   info.step_count = dycore.step_count();
-  std::thread blocked([&] { writer->save(info, final_state); });
-  while (writer->stats().blocked_saves == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // The blocked thread calls through a raw pointer taken now: the
+  // destroyer below nulls the unique_ptr while that save is in flight.
+  homme::AsyncCheckpointWriter* const raw = writer.get();
+  const std::uint64_t blocked_before = raw->stats().blocked_saves;
+  std::thread blocked([&] { raw->save(info, final_state); });
+  wait_for([&] { return raw->stats().blocked_saves > blocked_before; });
 
   // Start destruction while the third save is still blocked, then let
   // the writer run. Every accepted save must reach disk.
@@ -392,15 +424,6 @@ TEST(DeltaCheckpoint, BrokenChainsAreTypedErrors) {
     writer.save(info, s);
   }  // on disk: .full, .d1, .d2
 
-  auto slurp = [](const std::string& path) {
-    std::ifstream f(path, std::ios::binary);
-    return std::vector<char>(std::istreambuf_iterator<char>(f),
-                             std::istreambuf_iterator<char>());
-  };
-  auto spit = [](const std::string& path, const std::vector<char>& bytes) {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  };
   const auto d1 = slurp(base + ".d1");
   const auto d2 = slurp(base + ".d2");
 
@@ -436,6 +459,91 @@ TEST(DeltaCheckpoint, BrokenChainsAreTypedErrors) {
   for (int k = 1; k < 8; ++k) {
     std::remove((base + ".d" + std::to_string(k)).c_str());
   }
+}
+
+// Every record of a chain must come from the full image's run. A
+// CRC-valid delta spliced in from a chain of another shape (same nelem)
+// or another dt must be refused, not silently reshape the state.
+TEST(DeltaCheckpoint, SplicedRecordOfAnotherRunIsATypedError) {
+  auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  auto write_chain = [&](const std::string& base, const Dims& d, double dt) {
+    State s = homme::baroclinic(mesh, d);
+    homme::init_tracers(mesh, d, s);
+    homme::DeltaCheckpointWriter writer(base, /*full_interval=*/10);
+    CheckpointInfo info = make_info(d, s);
+    info.config.dt = dt;
+    for (int i = 0; i < 2; ++i) {
+      s[0].T.mutable_span()[0] += 1.0;  // dirty one chunk per save
+      ++info.step_count;
+      writer.save(info, s);
+    }  // on disk: .full, .d1
+  };
+
+  Dims d4 = small_dims();
+  Dims d5 = d4;
+  d5.nlev = 5;
+  const std::string base = ::testing::TempDir() + "swdk_splice.ck";
+  const std::string other = ::testing::TempDir() + "swdk_splice_other.ck";
+  State restored;
+  for (const auto& [dims, dt, what] :
+       {std::tuple{d4, 12.5, "nlev"}, std::tuple{d5, 99.0, "dt"}}) {
+    SCOPED_TRACE(std::string("spliced record differs in ") + what);
+    write_chain(base, d5, 12.5);
+    write_chain(other, dims, dt);
+    spit(base + ".d1", slurp(other + ".d1"));
+    try {
+      homme::DeltaCheckpointWriter::restore_chain(base, restored);
+      ADD_FAILURE() << "spliced chain restored";
+    } catch (const CheckpointError&) {
+    }
+  }
+  remove_chain(base);
+  remove_chain(other);
+}
+
+// A header whose shape cannot fit the image is refused before any
+// allocation: a CheckpointError, never bad_alloc.
+TEST(Checkpoint, OversizedHeaderShapeIsATypedError) {
+  const Dims d = small_dims();
+  auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  State s = homme::baroclinic(mesh, d);
+  const auto image = serialize_checkpoint(make_info(d, s), s);
+
+  // Header layout: magic, version, nelem (u64), nlev, qsize (i32), ...
+  constexpr std::size_t kNelemOffset = 2 * sizeof(std::uint32_t);
+  constexpr std::size_t kNlevOffset = kNelemOffset + sizeof(std::uint64_t);
+  constexpr std::size_t kQsizeOffset = kNlevOffset + sizeof(std::int32_t);
+  constexpr std::size_t kHeaderBytes =
+      kQsizeOffset + 3 * sizeof(std::int32_t) + 2 * sizeof(std::uint64_t) +
+      2 * sizeof(double);
+  auto patched = [&](std::uint64_t nelem, std::int32_t nlev,
+                     std::int32_t qsize) {
+    auto img = image;
+    std::memcpy(img.data() + kNelemOffset, &nelem, sizeof nelem);
+    std::memcpy(img.data() + kNlevOffset, &nlev, sizeof nlev);
+    std::memcpy(img.data() + kQsizeOffset, &qsize, sizeof qsize);
+    const std::uint32_t crc = homme::crc32(img.data(), kHeaderBytes);
+    std::memcpy(img.data() + kHeaderBytes, &crc, sizeof crc);
+    return img;
+  };
+  constexpr std::int32_t kMaxI32 = std::numeric_limits<std::int32_t>::max();
+  const std::uint64_t nelem = s.size();
+  for (const auto& [n, nlev, qsize] :
+       {std::tuple{std::uint64_t{1} << 28, d.nlev, d.qsize},
+        std::tuple{std::uint64_t{1} << 40, d.nlev, d.qsize},
+        std::tuple{nelem, kMaxI32, d.qsize},
+        std::tuple{nelem, kMaxI32, kMaxI32}}) {
+    SCOPED_TRACE("nelem=" + std::to_string(n) + " nlev=" +
+                 std::to_string(nlev) + " qsize=" + std::to_string(qsize));
+    State restored;
+    EXPECT_THROW(deserialize_checkpoint(patched(n, nlev, qsize), restored),
+                 CheckpointError);
+  }
+  // The patcher itself is sound: the unchanged header still loads.
+  State restored;
+  EXPECT_NO_THROW(
+      deserialize_checkpoint(patched(nelem, d.nlev, d.qsize), restored));
+  EXPECT_TRUE(states_bitwise_equal(restored, s));
 }
 
 // ---------------------------------------------------------------------------
@@ -514,42 +622,49 @@ struct RestartFixture {
 
 TEST(CheckpointRestart, KillAtStepKThenRestartIsBitIdentical) {
   RestartFixture fx;
-  const model::SessionConfig cfg = fx.config(4);
-  const std::string base = ::testing::TempDir() + "swck_restart.ck";
+  for (int nranks = 1; nranks <= 4; ++nranks) {
+    SCOPED_TRACE(std::to_string(nranks) + " ranks");
+    const std::string base = ::testing::TempDir() + "swck_restart_r" +
+                             std::to_string(nranks) + ".ck";
+    const model::SessionConfig cfg =
+        fx.config(nranks).with_delta_checkpoints(base, 0, 4);
 
-  // Reference: 6 uninterrupted steps.
-  auto straight = fx.session(cfg);
-  straight->run(6);
+    // Reference: 6 uninterrupted steps.
+    auto straight = fx.session(fx.config(nranks));
+    straight->run(6);
 
-  // Run 3 steps, checkpoint, and "die" (the process state is discarded).
-  {
-    auto killed = fx.session(cfg);
-    killed->run(3);
-    killed->save(base);
+    // Run 3 steps, checkpoint, and "die" (the process state is discarded;
+    // destruction only flushes the accepted save).
+    {
+      auto killed = fx.session(cfg);
+      killed->run(3);
+      ASSERT_TRUE(killed->checkpoint_now());
+    }
+
+    // Restart from the files alone and finish the remaining 3 steps.
+    model::Session restarted(cfg);
+    ASSERT_TRUE(restarted.try_resume());
+    EXPECT_EQ(restarted.step_count(), 3);
+    restarted.run(3);
+
+    EXPECT_TRUE(states_bitwise_equal(straight->state(), restarted.state()));
+    remove_chain(base);
   }
-
-  // Restart from the file alone and finish the remaining 3 steps.
-  model::Session restarted(cfg);
-  restarted.restore(base);
-  EXPECT_EQ(restarted.step_count(), 3);
-  restarted.run(3);
-
-  EXPECT_TRUE(states_bitwise_equal(straight->state(), restarted.state()));
-  std::remove(homme::checkpoint_rank_path(base, 0).c_str());
 }
 
 TEST(CheckpointRestart, MismatchOnRestoreIsATypedError) {
   RestartFixture fx;
-  const model::SessionConfig cfg = fx.config(2);
   const std::string base = ::testing::TempDir() + "swck_cfg_mismatch.ck";
-  fx.session(cfg)->save(base);
+  const model::SessionConfig cfg =
+      fx.config(2).with_delta_checkpoints(base, 0, 4);
+  ASSERT_TRUE(fx.session(cfg)->checkpoint_now());  // the temporary drains
 
   auto expect_refused = [&](const model::SessionConfig& other,
                             const std::string& why) {
     model::Session s(other);
     const State before = s.state();
     try {
-      s.restore(base);
+      s.restore();
       ADD_FAILURE() << "restore into a session with a different " << why
                     << " was accepted";
     } catch (const CheckpointError& e) {
@@ -569,8 +684,8 @@ TEST(CheckpointRestart, MismatchOnRestoreIsATypedError) {
 
   // The matching config still restores.
   model::Session ok(cfg);
-  EXPECT_NO_THROW(ok.restore(base));
-  std::remove(homme::checkpoint_rank_path(base, 0).c_str());
+  EXPECT_NO_THROW(ok.restore());
+  remove_chain(base);
 }
 
 }  // namespace

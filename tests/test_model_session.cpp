@@ -36,6 +36,14 @@ void expect_states_equal(const homme::State& a, const homme::State& b) {
   }
 }
 
+/// Remove a checkpoint chain: "<base>.full" and its "<base>.dN" deltas.
+void remove_chain(const std::string& base) {
+  std::remove((base + ".full").c_str());
+  for (int k = 1; std::remove((base + ".d" + std::to_string(k)).c_str()) == 0;
+       ++k) {
+  }
+}
+
 /// Near-equality: the distributed DSS reassociates node sums across
 /// ranks, so parallel-vs-sequential agreement is 1e-9 relative, not
 /// bitwise (same bound the homme parallel tests use).
@@ -91,11 +99,18 @@ TEST(SessionConfig, RejectsUnrealizableSettings) {
                ConfigError);
   EXPECT_THROW(SessionConfig{}.with_levels(8, 0).with_physics().validate(),
                ConfigError);
-  // Checkpoint cadence without a base path.
-  SessionConfig ck;
-  ck.checkpoint_freq = 5;
-  EXPECT_THROW(ck.validate(), ConfigError);
-  EXPECT_NO_THROW(SessionConfig{}.with_checkpoints("/tmp/ck", 5).validate());
+  // Checkpoint cadence without a base path, a negative cadence or a
+  // negative full-image interval.
+  EXPECT_THROW(SessionConfig{}.with_delta_checkpoints("", 5, 4).validate(),
+               ConfigError);
+  EXPECT_THROW(
+      SessionConfig{}.with_delta_checkpoints("/tmp/ck", -1, 4).validate(),
+      ConfigError);
+  EXPECT_THROW(
+      SessionConfig{}.with_delta_checkpoints("/tmp/ck", 5, -1).validate(),
+      ConfigError);
+  EXPECT_NO_THROW(
+      SessionConfig{}.with_delta_checkpoints("/tmp/ck", 5, 4).validate());
   // The Session constructor runs the same validation.
   EXPECT_THROW(Session(SessionConfig{}.with_ne(0)), ConfigError);
 }
@@ -180,37 +195,34 @@ TEST(Session, SharedBundleIsSharedAndCheaper) {
 }
 
 TEST(Session, SaveRestoreRoundTripsBitIdentically) {
-  const std::string base = "test_model_session.ck";
-  const SessionConfig cfg =
+  const SessionConfig plain =
       SessionConfig{}.with_ne(2).with_levels(8, 2).with_remap_freq(3);
 
-  Session s(cfg);
-  s.run(4);  // step 4: mid remap cycle, the cadence must survive restore
-  s.save(base);
-  s.run(3);
-  const homme::State gold = s.state();
-
-  Session t(cfg);
-  t.restore(base);
-  EXPECT_EQ(t.step_count(), 4);
-  t.run(3);
-  expect_states_equal(t.state(), gold);
-
   // At N ranks the session saves and restores its one global state.
-  const std::string pbase = "test_model_session_par.ck";
-  Session p(SessionConfig{cfg}.with_ranks(2));
-  p.run(4);
-  p.save(pbase);
-  p.run(3);
-  const homme::State pgold = p.state();
+  for (int nranks : {1, 2}) {
+    SCOPED_TRACE(std::to_string(nranks) + " ranks");
+    const std::string base = ::testing::TempDir() + "test_model_session_r" +
+                             std::to_string(nranks) + ".ck";
+    const SessionConfig cfg =
+        SessionConfig{plain}.with_ranks(nranks).with_delta_checkpoints(
+            base, /*freq=*/0, /*full_interval=*/4);
 
-  Session q(SessionConfig{cfg}.with_ranks(2));
-  q.restore(pbase);
-  q.run(3);
-  expect_states_equal(q.state(), pgold);
+    homme::State gold;
+    {
+      Session s(cfg);
+      s.run(4);  // step 4: mid remap cycle, the cadence must survive restore
+      ASSERT_TRUE(s.checkpoint_now());
+      s.run(3);
+      gold = s.state();
+    }  // destruction drains the async writer: the save is on disk
 
-  std::remove(homme::checkpoint_rank_path(base, 0).c_str());
-  std::remove(homme::checkpoint_rank_path(pbase, 0).c_str());
+    Session t(cfg);
+    t.restore();
+    EXPECT_EQ(t.step_count(), 4);
+    t.run(3);
+    expect_states_equal(t.state(), gold);
+    remove_chain(base);
+  }
 }
 
 // -- features at any rank count ----------------------------------------------
@@ -263,25 +275,29 @@ TEST(SessionRanks, DeltaCheckpointsAtTwoRanksRestoreBitIdentically) {
 // change at restart.
 TEST(SessionRanks, CheckpointAtTwoRanksRestoresAtOneAndThreeRanks) {
   const std::string base = ::testing::TempDir() + "session_reshape.ck";
-  const SessionConfig cfg =
+  const SessionConfig plain =
       SessionConfig{}.with_ne(2).with_levels(8, 2).with_remap_freq(3);
+  const SessionConfig cfg =
+      SessionConfig{plain}.with_delta_checkpoints(base, 0, 4);
 
-  Session straight(SessionConfig{cfg}.with_ranks(2));
+  Session straight(SessionConfig{plain}.with_ranks(2));
   straight.run(7);
 
-  Session saver(SessionConfig{cfg}.with_ranks(2));
-  saver.run(4);  // mid remap cycle
-  saver.save(base);
+  {
+    Session saver(SessionConfig{cfg}.with_ranks(2));
+    saver.run(4);  // mid remap cycle
+    ASSERT_TRUE(saver.checkpoint_now());
+  }  // destruction drains the async writer
 
   for (int nranks : {1, 3}) {
     SCOPED_TRACE("restore at " + std::to_string(nranks) + " ranks");
     Session resumed(SessionConfig{cfg}.with_ranks(nranks));
-    resumed.restore(base);
+    resumed.restore();
     EXPECT_EQ(resumed.step_count(), 4);
     resumed.run(3);
     expect_states_near(resumed.state(), straight.state());
   }
-  std::remove(homme::checkpoint_rank_path(base, 0).c_str());
+  remove_chain(base);
 }
 
 // Ranks step COW views of the global state; a collective step that fails
@@ -316,20 +332,31 @@ TEST(SessionRanks, FailedStepLeavesTheLastGoodState) {
 }
 
 TEST(Session, CheckpointCadenceWritesDuringRun) {
-  const std::string base = "test_model_session_cadence.ck";
-  Session s(SessionConfig{}
-                .with_ne(2)
-                .with_levels(4, 1)
-                .with_checkpoints(base, 2));
-  s.run(4);
-  const homme::State gold = s.state();
+  const std::string base =
+      ::testing::TempDir() + "test_model_session_cadence.ck";
+  const SessionConfig cfg = SessionConfig{}
+                                .with_ne(2)
+                                .with_levels(4, 1)
+                                .with_delta_checkpoints(base, 2, 4);
+  homme::State gold;
+  {
+    Session s(cfg);
+    s.run(4);
+    gold = s.state();
+  }  // destruction drains the async writer
 
   // The step-4 checkpoint is on disk; a fresh session resumes from it.
-  Session t(SessionConfig{}.with_ne(2).with_levels(4, 1));
-  t.restore(base);
+  Session t(cfg);
+  ASSERT_TRUE(t.try_resume());
   EXPECT_EQ(t.step_count(), 4);
   expect_states_equal(t.state(), gold);
-  std::remove(homme::checkpoint_rank_path(base, 0).c_str());
+  remove_chain(base);
+
+  // Without a checkpoint_base there is nothing to save or resume from.
+  Session none(SessionConfig{}.with_ne(2).with_levels(4, 1));
+  EXPECT_FALSE(none.checkpoint_now());
+  EXPECT_FALSE(none.try_resume());
+  EXPECT_THROW(none.restore(), ConfigError);
 }
 
 TEST(Session, MonitorThrowsModelBlowup) {

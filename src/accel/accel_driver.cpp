@@ -6,6 +6,7 @@
 
 #include "accel/pipeline.hpp"
 #include "accel/remap_acc.hpp"
+#include "homme/host_pool.hpp"
 #include "homme/remap.hpp"
 #include "sw/ldm.hpp"
 
@@ -119,40 +120,53 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
 
     // Declare every shard's DMA stream on the shared controller *before*
     // the first shard runs: each descriptor then samples the same active
-    // count on every run, so modeled times are deterministic even though
-    // the host executes shards sequentially. (Unrelated tenants of a
-    // shared pool still contend dynamically on top.)
+    // count on every run, so modeled times are deterministic however the
+    // host schedules the shards. (Unrelated tenants of a shared pool
+    // still contend dynamically on top.)
     std::vector<sw::MemoryContention::StreamGuard> streams;
     streams.reserve(static_cast<std::size_t>(nshards));
     for (int si = 0; si < nshards; ++si) {
       streams.emplace_back(pool_->contention());
     }
 
-    sw::KernelStats agg;
-    for (int si = 0; si < nshards; ++si) {
-      sw::CoreGroup& cg = pool_->group(cgs_[static_cast<std::size_t>(si)]);
-      auto lk = pool_->lock(cgs_[static_cast<std::size_t>(si)]);
+    // Each shard runs on its own core group under that group's lock, on
+    // the host pool like any other independent loop. A fault plan counts
+    // ops per CPE id across every group, so with one attached the shards
+    // run one after another in shard order and the firing schedule stays
+    // the same run to run.
+    std::vector<sw::KernelStats> shard_stats(static_cast<std::size_t>(nshards));
+    auto run_shard = [&](std::size_t si) {
+      const int cgi = cgs_[si];
+      sw::CoreGroup& cg = pool_->group(cgi);
+      auto lk = pool_->lock(cgi);
       cg.set_fault_plan(faults_);
       PlanGuard plan_guard{cg};
-      RemapKernel k(packs[static_cast<std::size_t>(si)]);
+      RemapKernel k(packs[si]);
       KernelPipeline pipe({&k});
-      const sw::KernelStats st = pipe.run(cg);
-      if (si == 0) {
-        agg = st;
-      } else {
-        // Shards occupy distinct core groups concurrently: the remap is
-        // done when the slowest shard is; counters sum.
-        agg.cycles = std::max(agg.cycles, st.cycles);
-        agg.seconds = std::max(agg.seconds, st.seconds);
-        agg.totals += st.totals;
-        for (std::size_t p = 0;
-             p < agg.phases.size() && p < st.phases.size(); ++p) {
-          agg.phases[p].cycles =
-              std::max(agg.phases[p].cycles, st.phases[p].cycles);
-          agg.phases[p].seconds =
-              std::max(agg.phases[p].seconds, st.phases[p].seconds);
-          agg.phases[p].totals += st.phases[p].totals;
-        }
+      shard_stats[si] = pipe.run(cg);
+    };
+    if (faults_ != nullptr) {
+      for (std::size_t si = 0; si < shard_stats.size(); ++si) run_shard(si);
+    } else {
+      homme::parallel_for(shard_stats.size(), run_shard);
+    }
+
+    // Aggregate in shard order. Shards occupy distinct core groups
+    // concurrently: the remap is done when the slowest shard is; counters
+    // sum.
+    sw::KernelStats agg = shard_stats[0];
+    for (std::size_t si = 1; si < shard_stats.size(); ++si) {
+      const sw::KernelStats& st = shard_stats[si];
+      agg.cycles = std::max(agg.cycles, st.cycles);
+      agg.seconds = std::max(agg.seconds, st.seconds);
+      agg.totals += st.totals;
+      for (std::size_t p = 0; p < agg.phases.size() && p < st.phases.size();
+           ++p) {
+        agg.phases[p].cycles =
+            std::max(agg.phases[p].cycles, st.phases[p].cycles);
+        agg.phases[p].seconds =
+            std::max(agg.phases[p].seconds, st.phases[p].seconds);
+        agg.phases[p].totals += st.phases[p].totals;
       }
     }
     last_stats_ = agg;

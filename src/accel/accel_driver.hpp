@@ -48,6 +48,8 @@ class PipelineAccelerator final : public homme::StepAccelerator {
   /// re-runs on the host reference path, bit-identical to a
   /// never-accelerated step. The fallback is recorded in the launch
   /// stats (CpeCounters::host_fallbacks) and in fallbacks()/last_fault().
+  /// Shards run concurrently on homme::HostPool, each under its own
+  /// group's lock; their stats aggregate in shard order.
   void vertical_remap(homme::State& s) override;
 
   /// Shard subsequent remaps across \p n core groups of a fresh private
@@ -65,8 +67,10 @@ class PipelineAccelerator final : public homme::StepAccelerator {
   /// Inject simulated faults into subsequent launches (nullptr detaches).
   /// The plan is installed on each assigned core group only for the
   /// duration of that group's shard launch, so siblings sharing the pool
-  /// never see it; its per-CPE op counters advance independently per
-  /// group (CPE ids repeat across groups).
+  /// never see it. Its per-CPE op counters are shared by every group (CPE
+  /// ids repeat across groups), so while a plan is attached the shards
+  /// run one after another in shard order — never concurrently on the
+  /// host pool — and the same plan fires the same faults on every run.
   void set_fault_plan(sw::FaultPlan* plan) { faults_ = plan; }
 
   /// Attach a tracer: the accelerator reports pack/offload/unpack spans

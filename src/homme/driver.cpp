@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "homme/euler.hpp"
+#include "homme/host_pool.hpp"
 #include "homme/hypervis.hpp"
 #include "homme/remap.hpp"
 #include "homme/rhs.hpp"
@@ -34,10 +35,11 @@ double smallest_gll_spacing(const mesh::CubedSphere& m) {
   return best;
 }
 
-/// s <- a*x + b*y elementwise over dynamical fields.
+/// s <- a*x + b*y elementwise over dynamical fields, one element per pool
+/// item.
 void blend(const Dims& d, double a, const State& x, double b, const State& y,
            State& out) {
-  for (std::size_t e = 0; e < out.size(); ++e) {
+  parallel_for(out.size(), [&](std::size_t e) {
     std::span<double> ou1 = out[e].u1.mutable_span(),
                       ou2 = out[e].u2.mutable_span(),
                       oT = out[e].T.mutable_span(),
@@ -48,7 +50,7 @@ void blend(const Dims& d, double a, const State& x, double b, const State& y,
       oT[f] = a * x[e].T[f] + b * y[e].T[f];
       odp[f] = a * x[e].dp[f] + b * y[e].dp[f];
     }
-  }
+  });
 }
 
 }  // namespace

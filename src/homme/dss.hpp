@@ -6,11 +6,13 @@
 #include "mesh/cubed_sphere.hpp"
 
 /// \file dss.hpp
-/// Direct stiffness summation (DSS) over the whole mesh — the sequential
+/// Direct stiffness summation (DSS) over the whole mesh — the one-rank
 /// reference against which the distributed bndry_exchangev versions are
 /// verified. DSS projects element-wise (discontinuous) fields onto the
 /// continuous spectral-element space: mass-weighted sums at shared GLL
-/// points, divided by the assembled mass.
+/// points, divided by the assembled mass. Levels run as homme::HostPool
+/// items, each summing its nodes in element order, so the result equals
+/// a serial sweep bit for bit.
 
 namespace homme {
 

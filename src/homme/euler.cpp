@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "homme/exchange.hpp"
+#include "homme/host_pool.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
 #include "homme/vpack.hpp"
@@ -62,8 +63,7 @@ void positivity_limiter(const mesh::ElementGeom& g, int nlev,
 
 void euler_step(Exchange& ex, const Dims& d, State& s, double dt,
                 bool limit) {
-  const int n = ex.nlocal();
-  const std::size_t sn = static_cast<std::size_t>(n);
+  const std::size_t sn = static_cast<std::size_t>(ex.nlocal());
   const std::size_t fs = d.field_size();
 
   // Per-tracer stage buffers (q0 = start of step, qs = working stage),
@@ -81,12 +81,15 @@ void euler_step(Exchange& ex, const Dims& d, State& s, double dt,
   std::span<double*> qs_ptrs = arena.alloc_ptrs(sn);
   for (std::size_t le = 0; le < sn; ++le) qs_ptrs[le] = qs.data() + le * fs;
 
+  // Every loop below is one element per pool item, writing only that
+  // element's slice of the stage buffers (or of s); the DSS between
+  // stages is the only cross-element step.
   for (int q = 0; q < d.qsize; ++q) {
-    for (std::size_t le = 0; le < sn; ++le) {
+    parallel_for(sn, [&](std::size_t le) {
       auto src = s[le].q(q, d);
       std::copy(src.begin(), src.end(), q0.begin() + le * fs);
       std::copy(src.begin(), src.end(), qs.begin() + le * fs);
-    }
+    });
 
     // SSP-RK3 (Shu-Osher): each stage = Euler step + convex combination,
     // with DSS (and optionally the limiter) after every stage.
@@ -95,12 +98,12 @@ void euler_step(Exchange& ex, const Dims& d, State& s, double dt,
         {0.75, 0.25},            // q2 = 3/4 q0 + 1/4 (q1 + dt L(q1))
         {1.0 / 3.0, 2.0 / 3.0}}; // q3 = 1/3 q0 + 2/3 (q2 + dt L(q2))
     for (int stage = 0; stage < 3; ++stage) {
-      for (int le = 0; le < n; ++le) {
-        const std::size_t sle = static_cast<std::size_t>(le);
-        element_tracer_rhs(ex.geom(le), d, s[sle], qs.subspan(sle * fs, fs),
+      const double a = stage_w[stage][0];
+      const double b = stage_w[stage][1];
+      parallel_for(sn, [&](std::size_t sle) {
+        element_tracer_rhs(ex.geom(static_cast<int>(sle)), d, s[sle],
+                           qs.subspan(sle * fs, fs),
                            rhs.subspan(sle * fs, fs));
-        const double a = stage_w[stage][0];
-        const double b = stage_w[stage][1];
         const double* q0e = q0.data() + sle * fs;
         const double* re = rhs.data() + sle * fs;
         double* qe = qs.data() + sle * fs;
@@ -109,21 +112,21 @@ void euler_step(Exchange& ex, const Dims& d, State& s, double dt,
            b * (vpack::load(qe + f) + dt * vpack::load(re + f)))
               .store(qe + f);
         }
-      }
+      });
       ex.dss_levels(qs_ptrs, d.nlev);
       if (limit) {
-        for (int le = 0; le < n; ++le) {
-          positivity_limiter(ex.geom(le), d.nlev,
-                             qs.subspan(static_cast<std::size_t>(le) * fs, fs));
-        }
+        parallel_for(sn, [&](std::size_t le) {
+          positivity_limiter(ex.geom(static_cast<int>(le)), d.nlev,
+                             qs.subspan(le * fs, fs));
+        });
       }
     }
 
-    for (std::size_t le = 0; le < sn; ++le) {
+    parallel_for(sn, [&](std::size_t le) {
       auto dst = s[le].q_mut(q, d);
       std::copy(qs.begin() + le * fs, qs.begin() + (le + 1) * fs,
                 dst.begin());
-    }
+    });
   }
 }
 

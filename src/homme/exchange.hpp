@@ -18,7 +18,7 @@
 /// implementations below are the only place the rank count shows:
 ///
 ///   MeshExchange — the whole mesh on one rank: identity element map,
-///                  the sequential homme::dss_levels / dss_vector_levels;
+///                  the whole-mesh homme::dss_levels / dss_vector_levels;
 ///   RankExchange — rank r of an SFC partition: the rank's elements in
 ///                  Partition::rank_elems order, DSS through
 ///                  BndryExchange in its original or overlap Mode.

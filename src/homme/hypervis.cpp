@@ -2,6 +2,7 @@
 
 #include "homme/dss.hpp"
 #include "homme/exchange.hpp"
+#include "homme/host_pool.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
 #include "homme/vpack.hpp"
@@ -12,17 +13,19 @@ using mesh::kNpp;
 
 namespace {
 
+// The element loops below run one element per pool item; each writes
+// only its own element's slice.
+
 /// Laplacian of a multi-level scalar field into out (no DSS).
 void laplacian_field(const Exchange& ex, int nlev,
                      std::span<double* const> field,
                      std::span<double* const> out) {
-  for (int le = 0; le < ex.nlocal(); ++le) {
-    const auto& g = ex.geom(le);
+  parallel_for(static_cast<std::size_t>(ex.nlocal()), [&](std::size_t le) {
+    const auto& g = ex.geom(static_cast<int>(le));
     for (int lev = 0; lev < nlev; ++lev) {
-      laplace_sphere_wk(g, field[static_cast<std::size_t>(le)] + fidx(lev, 0),
-                        out[static_cast<std::size_t>(le)] + fidx(lev, 0));
+      laplace_sphere_wk(g, field[le] + fidx(lev, 0), out[le] + fidx(lev, 0));
     }
-  }
+  });
 }
 
 /// Workspace: per-element field set carved from the scratch arena — one
@@ -42,36 +45,34 @@ struct ArenaFields {
 /// y[le][:] += coef * x[le][:] over every element, vectorized.
 void axpy_fields(int n, std::size_t fs, double coef,
                  std::span<double* const> x, std::span<double* const> y) {
-  for (int le = 0; le < n; ++le) {
-    const double* xe = x[static_cast<std::size_t>(le)];
-    double* ye = y[static_cast<std::size_t>(le)];
+  parallel_for(static_cast<std::size_t>(n), [&](std::size_t le) {
+    const double* xe = x[le];
+    double* ye = y[le];
     for (std::size_t f = 0; f < fs; f += vpack::width) {
       (vpack::load(ye + f) + coef * vpack::load(xe + f)).store(ye + f);
     }
-  }
+  });
 }
 
 /// Rotate the wind of every element to Cartesian components.
 void wind_to_cart(const Exchange& ex, const Dims& d, const State& s,
                   std::span<double* const> x, std::span<double* const> y,
                   std::span<double* const> z) {
-  for (int le = 0; le < ex.nlocal(); ++le) {
-    const std::size_t sle = static_cast<std::size_t>(le);
-    const auto& g = ex.geom(le);
+  parallel_for(static_cast<std::size_t>(ex.nlocal()), [&](std::size_t sle) {
+    const auto& g = ex.geom(static_cast<int>(sle));
     for (int lev = 0; lev < d.nlev; ++lev) {
       contra_to_cart(g, s[sle].u1.data() + fidx(lev, 0),
                      s[sle].u2.data() + fidx(lev, 0), x[sle] + fidx(lev, 0),
                      y[sle] + fidx(lev, 0), z[sle] + fidx(lev, 0));
     }
-  }
+  });
 }
 
 void cart_to_wind(const Exchange& ex, const Dims& d,
                   std::span<double* const> x, std::span<double* const> y,
                   std::span<double* const> z, State& s) {
-  for (int le = 0; le < ex.nlocal(); ++le) {
-    const std::size_t sle = static_cast<std::size_t>(le);
-    const auto& g = ex.geom(le);
+  parallel_for(static_cast<std::size_t>(ex.nlocal()), [&](std::size_t sle) {
+    const auto& g = ex.geom(static_cast<int>(sle));
     std::span<double> u1 = s[sle].u1.mutable_span();
     std::span<double> u2 = s[sle].u2.mutable_span();
     for (int lev = 0; lev < d.nlev; ++lev) {
@@ -79,7 +80,7 @@ void cart_to_wind(const Exchange& ex, const Dims& d,
                      z[sle] + fidx(lev, 0), u1.data() + fidx(lev, 0),
                      u2.data() + fidx(lev, 0));
     }
-  }
+  });
 }
 
 // Scratch sizing. The arena grows only while empty, so every public entry

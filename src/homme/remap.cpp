@@ -5,6 +5,7 @@
 #include <cmath>
 #include <string>
 
+#include "homme/host_pool.hpp"
 #include "homme/scratch.hpp"
 #include "homme/vpack.hpp"
 
@@ -173,21 +174,24 @@ void vertical_remap_local(const Dims& d, State& s) {
   // Arena layout per element: two SoA interface tiles ((nlev+1) x kNpp)
   // for the cumulative mass coordinates, one SoA layer tile for the
   // target thicknesses, and seven per-column strips.
-  ScratchArena& arena = ScratchArena::thread_local_arena();
   const std::size_t need =
       2 * (n + 1) * kNpp + fs + 4 * (n + 1) + 3 * n;
-  if (arena.capacity() < need) arena.require(need);
-  ScratchArena::Frame frame(arena);
 
-  std::span<double> xs_soa = arena.alloc((n + 1) * kNpp);
-  std::span<double> xt_soa = arena.alloc((n + 1) * kNpp);
-  std::span<double> tgt_soa = arena.alloc(fs);
-  std::span<double> xs = arena.alloc(n + 1), xt = arena.alloc(n + 1),
-                    ys = arena.alloc(n + 1), slopes = arena.alloc(n + 1),
-                    delta = arena.alloc(n), src = arena.alloc(n),
-                    col = arena.alloc(n);
+  // One element per pool item, each in a frame of its own thread's arena;
+  // an element touches only its own fields.
+  parallel_for(s.size(), [&](std::size_t e) {
+    ScratchArena& arena = ScratchArena::thread_local_arena();
+    if (arena.capacity() < need) arena.require(need);
+    ScratchArena::Frame frame(arena);
 
-  for (std::size_t e = 0; e < s.size(); ++e) {
+    std::span<double> xs_soa = arena.alloc((n + 1) * kNpp);
+    std::span<double> xt_soa = arena.alloc((n + 1) * kNpp);
+    std::span<double> tgt_soa = arena.alloc(fs);
+    std::span<double> xs = arena.alloc(n + 1), xt = arena.alloc(n + 1),
+                      ys = arena.alloc(n + 1), slopes = arena.alloc(n + 1),
+                      delta = arena.alloc(n), src = arena.alloc(n),
+                      col = arena.alloc(n);
+
     ElementState& es = s[e];
 
     // Tiled vertical scan: the cumulative source-mass coordinate of all
@@ -322,7 +326,7 @@ void vertical_remap_local(const Dims& d, State& s) {
         fdp[fidx(lev, k)] = tgt_soa[fidx(lev, k)];
       }
     }
-  }
+  });
 }
 
 }  // namespace homme

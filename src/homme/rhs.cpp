@@ -4,6 +4,7 @@
 
 #include "homme/dss.hpp"
 #include "homme/exchange.hpp"
+#include "homme/host_pool.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
 #include "homme/vpack.hpp"
@@ -180,15 +181,18 @@ void compute_and_apply_rhs(Exchange& ex, const Dims& d, const State& base,
   assert(base.size() == static_cast<std::size_t>(ex.nlocal()));
   assert(eval.size() == base.size() && out.size() == base.size());
 
-  ElementTend tend(d);
-  for (int le = 0; le < ex.nlocal(); ++le) {
-    const std::size_t sle = static_cast<std::size_t>(le);
-    element_rhs(ex.geom(le), d, eval[sle], tend);
+  // One element per pool item; each thread keeps its own tendency buffer
+  // (sized once per shape, reused across calls) and writes only out[le].
+  const std::size_t fs = d.field_size();
+  parallel_for(static_cast<std::size_t>(ex.nlocal()), [&](std::size_t sle) {
+    thread_local ElementTend tend;
+    if (tend.u1.size() != fs) tend = ElementTend(d);
+    element_rhs(ex.geom(static_cast<int>(sle)), d, eval[sle], tend);
     ElementState& o = out[sle];
     const ElementState& b = base[sle];
     std::span<double> ou1 = o.u1.mutable_span(), ou2 = o.u2.mutable_span(),
                       oT = o.T.mutable_span(), odp = o.dp.mutable_span();
-    for (std::size_t f = 0; f < d.field_size(); f += vpack::width) {
+    for (std::size_t f = 0; f < fs; f += vpack::width) {
       (vpack::load(b.u1.data() + f) + dt * vpack::load(tend.u1.data() + f))
           .store(ou1.data() + f);
       (vpack::load(b.u2.data() + f) + dt * vpack::load(tend.u2.data() + f))
@@ -199,7 +203,7 @@ void compute_and_apply_rhs(Exchange& ex, const Dims& d, const State& base,
           .store(odp.data() + f);
     }
     o.phis = b.phis;
-  }
+  });
 
   auto u1p = field_ptrs(out, &ElementState::u1);
   auto u2p = field_ptrs(out, &ElementState::u2);

@@ -61,11 +61,23 @@ double Track::now() const {
 
 bool Track::recording() const { return tracer_->enabled(); }
 
+void Track::size_ring() {
+  if (ring_fixed_) return;
+  const std::size_t cap = std::max<std::size_t>(1, tracer_->ring_capacity());
+  if (ring_cap_ != cap) {
+    ring_cap_ = cap;
+    ring_ = std::vector<Event>(cap);
+  }
+  // Spans nest a few levels deep; reserve so the first begin() does not
+  // grow the stack either.
+  constexpr std::size_t kStackReserve = 16;
+  stack_.reserve(kStackReserve);
+}
+
 void Track::push(const Event& e) {
-  if (ring_cap_ == 0) {
-    ring_cap_ = tracer_->ring_capacity();
-    if (ring_cap_ == 0) ring_cap_ = 1;
-    ring_.resize(ring_cap_);
+  if (!ring_fixed_) {
+    size_ring();
+    ring_fixed_ = true;
   }
   if (count_ == ring_cap_) ++dropped_;  // overwriting the oldest event
   ring_[head_] = e;
@@ -190,6 +202,16 @@ double Tracer::wall_now_us() const {
       .count();
 }
 
+void Tracer::enable(bool on) {
+  if (on && !enabled()) {
+    // Size the rings before recording starts, so no recorder can be
+    // pushing into a track while its ring is allocated.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& t : tracks_) t->size_ring();
+  }
+  enabled_.store(on, std::memory_order_release);
+}
+
 Track& Tracer::track(std::string_view name, int pid, int tid) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& t : tracks_) {
@@ -197,6 +219,7 @@ Track& Tracer::track(std::string_view name, int pid, int tid) {
   }
   tracks_.emplace_back(
       std::unique_ptr<Track>(new Track(this, std::string(name), pid, tid)));
+  if (enabled()) tracks_.back()->size_ring();
   return *tracks_.back();
 }
 

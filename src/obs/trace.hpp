@@ -44,7 +44,7 @@
 ///  - The per-phase summary is accumulated online at span close, so ring
 ///    overflow (which drops the oldest timeline events) never loses
 ///    aggregate statistics.
-///  - Disabled tracing costs one relaxed atomic load per call site and
+///  - Disabled tracing costs one atomic load per call site and
 ///    performs no allocation (see test_obs_trace DisabledTracingAllocates
 ///    Nothing).
 
@@ -154,6 +154,11 @@ class Track {
       : tracer_(tracer), name_(std::move(name)), pid_(pid), tid_(tid) {}
 
   bool recording() const;
+  /// Size the ring (and the open-span stack) from the tracer's capacity
+  /// unless the first event already fixed it. Runs when the track is
+  /// created or enabled for recording, so the first span allocates
+  /// nothing; push() calls it only if the capacity changed since.
+  void size_ring();
   void push(const Event& e);
   void record(EventPhase ph, const char* name, double ts, double dur,
               CounterList args);
@@ -174,6 +179,7 @@ class Track {
   double vclock_ = 0.0;
   std::vector<Event> ring_;
   std::size_t ring_cap_ = 0;
+  bool ring_fixed_ = false;  ///< the first event landed; capacity is final
   std::size_t head_ = 0;  ///< next write slot
   std::size_t count_ = 0;
   std::uint64_t dropped_ = 0;
@@ -190,10 +196,13 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  void enable(bool on = true) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  /// Turning recording on sizes every existing track's ring first (a
+  /// disabled tracer's tracks hold none), so no ring is allocated inside
+  /// a measured span.
+  void enable(bool on = true);
+  /// Acquire: a recorder that sees recording switched on also sees the
+  /// rings enable() sized before switching it on.
+  bool enabled() const { return enabled_.load(std::memory_order_acquire); }
 
   void set_detail(Detail d) {
     fine_.store(d == Detail::kFine, std::memory_order_relaxed);
@@ -203,7 +212,8 @@ class Tracer {
   ClockDomain domain() const { return domain_; }
 
   /// Ring capacity (events per track) applied to tracks that have not yet
-  /// recorded their first event.
+  /// recorded their first event. Set it before enabling to keep the ring
+  /// allocation out of the first recorded span.
   void set_ring_capacity(std::size_t cap) { ring_capacity_ = cap; }
   std::size_t ring_capacity() const { return ring_capacity_; }
 
@@ -217,6 +227,7 @@ class Tracer {
   /// Get or create the track named \p name. pid/tid are fixed at creation
   /// (later calls with the same name return the existing track). Thread
   /// safe; the returned reference is stable for the tracer's lifetime.
+  /// A track created while the tracer is enabled gets its ring here.
   Track& track(std::string_view name, int pid = 0, int tid = 0);
 
   /// Intern a dynamic string so its lifetime matches the tracer's (event

@@ -5,6 +5,7 @@
 #include <span>
 
 #include "homme/dims.hpp"
+#include "homme/host_pool.hpp"
 
 namespace phys {
 
@@ -115,29 +116,45 @@ void PhysicsDriver::restore_column(const Column& c, homme::State& s, int e,
 }
 
 PhysicsStats PhysicsDriver::step(homme::State& s, double dt) {
+  const std::size_t ncols = static_cast<std::size_t>(mesh_.nelem()) * kNpp;
+  if (diags_.size() != ncols) diags_.assign(ncols, ColumnDiag{});
+  // Columns are independent: one element (its kNpp columns) per pool
+  // item, each thread reusing its own column buffer (load_column and the
+  // SST overwrite every field, so nothing leaks from one column to the
+  // next). Each column's diagnostics land in its own slot of diags_.
+  homme::parallel_for(
+      static_cast<std::size_t>(mesh_.nelem()), [&](std::size_t se) {
+        thread_local Column c(0);
+        if (c.nlev != dims_.nlev) c = Column(dims_.nlev);
+        const int e = static_cast<int>(se);
+        const auto& g = mesh_.geom(e);
+        homme::ElementState& es = s[se];
+        const FieldsOut fields(es, dims_);
+        for (int k = 0; k < kNpp; ++k) {
+          const LocalFrame fr(g, static_cast<std::size_t>(k));
+          load_column(es, dims_, g, k, fr, c);
+          c.sst = cfg_.sst(c.lat, c.lon);
+          ColumnDiag& diag = diags_[se * kNpp + static_cast<std::size_t>(k)];
+          diag = ColumnDiag{};
+          if (cfg_.radiation) gray_radiation(cfg_.rad, c, dt, diag);
+          if (cfg_.convection) dry_adjustment(c);
+          if (cfg_.condensation) large_scale_condensation(c, dt, diag);
+          if (cfg_.surface_pbl) surface_and_pbl(cfg_.sfc, c, dt, diag);
+          store_column(c, g, k, fr, fields);
+        }
+      });
+
+  // The domain reduction runs afterwards in the serial (e, k) order, so
+  // the sums are bit-identical at any thread count.
   PhysicsStats out;
-  out.olr_field.assign(
-      static_cast<std::size_t>(mesh_.nelem()) * kNpp, 0.0);
-  // One column buffer for the whole step: load_column and the SST
-  // overwrite every field, so nothing leaks from one column to the next.
-  Column c(dims_.nlev);
+  out.olr_field.assign(ncols, 0.0);
   double area = 0.0;
   for (int e = 0; e < mesh_.nelem(); ++e) {
     const auto& g = mesh_.geom(e);
-    homme::ElementState& es = s[static_cast<std::size_t>(e)];
-    const FieldsOut fields(es, dims_);
     for (int k = 0; k < kNpp; ++k) {
       const std::size_t sk = static_cast<std::size_t>(k);
-      const LocalFrame fr(g, sk);
-      load_column(es, dims_, g, k, fr, c);
-      c.sst = cfg_.sst(c.lat, c.lon);
-      ColumnDiag diag;
-      if (cfg_.radiation) gray_radiation(cfg_.rad, c, dt, diag);
-      if (cfg_.convection) dry_adjustment(c);
-      if (cfg_.condensation) large_scale_condensation(c, dt, diag);
-      if (cfg_.surface_pbl) surface_and_pbl(cfg_.sfc, c, dt, diag);
-      store_column(c, g, k, fr, fields);
-
+      const std::size_t col = static_cast<std::size_t>(e) * kNpp + sk;
+      const ColumnDiag& diag = diags_[col];
       const double w = g.mass[sk];
       area += w;
       out.mean_precip += w * diag.precip;
@@ -145,7 +162,7 @@ PhysicsStats PhysicsDriver::step(homme::State& s, double dt) {
       out.mean_shf += w * diag.shf;
       out.mean_lhf += w * diag.lhf;
       out.max_precip = std::max(out.max_precip, diag.precip);
-      out.olr_field[static_cast<std::size_t>(e * kNpp + k)] = diag.olr;
+      out.olr_field[col] = diag.olr;
     }
   }
   out.mean_precip /= area;

@@ -53,7 +53,10 @@ class PhysicsDriver {
   PhysicsDriver(const mesh::CubedSphere& m, const homme::Dims& d,
                 PhysicsConfig cfg = {});
 
-  /// Apply the suite to every column with physics time step \p dt.
+  /// Apply the suite to every column with physics time step \p dt. The
+  /// columns run on homme::HostPool; the domain means are reduced in
+  /// column order afterwards, so the result is the same at any thread
+  /// count.
   PhysicsStats step(homme::State& s, double dt);
 
   /// Extract one column (element e, GLL point k) from the state —
@@ -68,6 +71,9 @@ class PhysicsDriver {
   const mesh::CubedSphere& mesh_;
   homme::Dims dims_;
   PhysicsConfig cfg_;
+  /// Per-column diagnostics of the current step, [elem][gidx]; sized on
+  /// the first step and reused, so step() allocates only its result.
+  std::vector<ColumnDiag> diags_;
 };
 
 }  // namespace phys

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "homme/init.hpp"
 #include "homme/remap.hpp"
 #include "mesh/cubed_sphere.hpp"
+#include "model/session.hpp"
+#include "sw/fault.hpp"
 
 namespace {
 
@@ -196,6 +199,62 @@ TEST(PipelineAccelerator, AttachedDycoreTracksHostDycore) {
 
   EXPECT_EQ(pa.launches(), 1);  // remap_freq=3: one remap in 3 steps
   EXPECT_LT(state_max_rel_diff(host_s, accel_s), 1e-8);
+}
+
+}  // namespace
+
+namespace {
+
+// A fault plan counts ops per CPE id, and CPE ids repeat across core
+// groups: if the shards of one launch ran concurrently, which group's
+// CPE 0 issued "DMA number N" would depend on thread timing. With a plan
+// attached the shards run in shard order, so a seeded plan on a 4-group
+// session fires the same faults, falls back the same launches and ends
+// in the same state on every run.
+struct FaultedRun {
+  std::vector<sw::FaultPlan::Fired> fired;
+  int fallbacks = 0;
+  std::uint32_t digest = 0;
+};
+
+FaultedRun run_faulted_session() {
+  sw::FaultPlan plan(/*seed=*/2027);
+  plan.inject({sw::FaultKind::kDmaFail, /*target=*/-1, /*op_index=*/3});
+  plan.inject({sw::FaultKind::kDmaFail, /*target=*/1, /*op_index=*/16});
+  plan.inject({sw::FaultKind::kCpeDeath, /*target=*/2, /*op_index=*/30});
+  model::Session s(model::SessionConfig{}
+                       .with_ne(2)
+                       .with_levels(4, 2)
+                       .with_remap_freq(1)
+                       .with_backend(model::SessionConfig::Backend::kPipeline)
+                       .with_core_groups(4)
+                       .with_faults(&plan));
+  s.run(4);
+  FaultedRun r;
+  r.fired = plan.fired();
+  r.fallbacks = s.fallbacks();
+  r.digest = model::state_digest(s.state(), s.step_count());
+  return r;
+}
+
+TEST(PipelineAccelerator, FaultedShardedLaunchesAreDeterministic) {
+  const FaultedRun first = run_faulted_session();
+  // Every armed fault fires, each in its own launch.
+  ASSERT_EQ(first.fired.size(), 3u);
+  EXPECT_EQ(first.fallbacks, 3);
+  for (int run = 1; run < 20; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    const FaultedRun r = run_faulted_session();
+    ASSERT_EQ(r.fired.size(), first.fired.size());
+    for (std::size_t i = 0; i < r.fired.size(); ++i) {
+      EXPECT_EQ(r.fired[i].kind, first.fired[i].kind);
+      EXPECT_EQ(r.fired[i].target, first.fired[i].target);
+      EXPECT_EQ(r.fired[i].op_index, first.fired[i].op_index);
+      EXPECT_EQ(r.fired[i].bytes, first.fired[i].bytes);
+    }
+    EXPECT_EQ(r.fallbacks, first.fallbacks);
+    EXPECT_EQ(r.digest, first.digest);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // The obs:: tracing subsystem: span nesting and self-time math, ring
-// overflow, disabled-tracing zero-allocation, and the deterministic
+// overflow, disabled-tracing zero-allocation, ring allocation outside the
+// first recorded span, and the deterministic
 // virtual-clock golden for a 2-rank distributed dycore step.
 
 #include <gtest/gtest.h>
@@ -14,7 +15,7 @@
 #include "homme/local_state.hpp"
 #include "obs/trace.hpp"
 
-// -- allocation counting (for DisabledTracingAllocatesNothing) --------------
+// -- allocation counting (DisabledTracing, RingAllocation) -----------------
 //
 // Global operator new/delete overrides for this test binary; counting is
 // armed only inside the measured region.
@@ -22,11 +23,20 @@
 namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<std::size_t> g_alloc_count{0};
+std::atomic<std::size_t> g_alloc_bytes{0};
+
+void start_counting() {
+  g_alloc_count.store(0);
+  g_alloc_bytes.store(0);
+  g_count_allocs.store(true);
+}
+void stop_counting() { g_count_allocs.store(false); }
 }  // namespace
 
 void* operator new(std::size_t n) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   }
   void* p = std::malloc(n ? n : 1);
   if (p == nullptr) throw std::bad_alloc();
@@ -155,6 +165,54 @@ TEST(DisabledTracing, AllocatesNothing) {
   g_count_allocs.store(false);
 
   EXPECT_EQ(g_alloc_count.load(), 0u);
+  EXPECT_EQ(t.retained(), 0u);
+}
+
+// A 65,536-event ring is ~6 MB. It used to be allocated by the first
+// event a track recorded — inside the first measured span. It is now
+// allocated when an enabled tracer creates the track, or when enable()
+// turns recording on for tracks that already exist; a disabled tracer's
+// tracks (every session creates its tracks with tracing off) hold none.
+TEST(RingAllocation, FirstSpanOfAnEnabledTrackAllocatesNoRing) {
+  obs::Tracer tr(obs::ClockDomain::kVirtual);
+  tr.enable();
+  obs::Track& t = tr.track("t");
+
+  start_counting();
+  t.begin("first");
+  stop_counting();
+  EXPECT_EQ(g_alloc_count.load(), 0u);
+
+  // Closing the span adds the phase's summary entry, nothing ring-sized.
+  start_counting();
+  t.end();
+  stop_counting();
+  EXPECT_LT(g_alloc_bytes.load(), 1024u);
+  EXPECT_EQ(t.retained(), 2u);
+}
+
+TEST(RingAllocation, EnableSizesTracksCreatedWhileDisabled) {
+  obs::Tracer tr(obs::ClockDomain::kVirtual);
+  obs::Track& t = tr.track("t");
+  tr.enable();
+
+  start_counting();
+  t.begin("first");
+  stop_counting();
+  EXPECT_EQ(g_alloc_count.load(), 0u);
+  t.end();
+  EXPECT_EQ(t.retained(), 2u);
+}
+
+TEST(RingAllocation, DisabledTracerTrackHoldsNoRing) {
+  obs::Tracer tr(obs::ClockDomain::kVirtual);  // disabled by default
+  start_counting();
+  obs::Track& t = tr.track("t");
+  t.begin("span");
+  t.end();
+  stop_counting();
+  // The registry entry and the track's name only — far below one ring.
+  EXPECT_LT(g_alloc_bytes.load(), 4096u);
   EXPECT_EQ(t.retained(), 0u);
 }
 

@@ -18,10 +18,6 @@
 ///   --small          reduced problem size (CI smoke)
 ///   --steps <n>      override the bench's step count
 ///   --ne <n>         override the bench's mesh resolution
-///   --workers <n>    engine worker-pool size (ensemble benches)
-///   --members <n>    ensemble member count
-///   --latency-us <n> modeled per-step coupler/ingest stall, microseconds
-///   --ckpt-interval <k> full checkpoint image every k saves (deltas between)
 ///   --core-groups <n> core groups per processor/pool. Every bench accepts
 ///                    it uniformly; it only affects pipeline-backend runs —
 ///                    host-backend (and analytic) benches parse and ignore
@@ -46,27 +42,11 @@ struct BenchOptions {
   bool small = false;      ///< --small
   int steps = -1;          ///< --steps; -1 = bench default
   int ne = -1;             ///< --ne; -1 = bench default
-  int workers = -1;        ///< --workers; -1 = bench default
-  int members = -1;        ///< --members; -1 = bench default
-  int latency_us = -1;     ///< --latency-us; -1 = bench default
-  int ckpt_interval = -1;  ///< --ckpt-interval; -1 = bench default
   int core_groups = -1;    ///< --core-groups; -1 = bench default
   std::string scenario;    ///< --scenario; empty = bench default
 
   int steps_or(int fallback) const { return steps >= 0 ? steps : fallback; }
   int ne_or(int fallback) const { return ne >= 0 ? ne : fallback; }
-  int workers_or(int fallback) const {
-    return workers >= 0 ? workers : fallback;
-  }
-  int members_or(int fallback) const {
-    return members >= 0 ? members : fallback;
-  }
-  int latency_us_or(int fallback) const {
-    return latency_us >= 0 ? latency_us : fallback;
-  }
-  int ckpt_interval_or(int fallback) const {
-    return ckpt_interval >= 0 ? ckpt_interval : fallback;
-  }
   int core_groups_or(int fallback) const {
     return core_groups >= 0 ? core_groups : fallback;
   }
@@ -84,10 +64,6 @@ struct BenchOptions {
         "  --small             reduced problem size (CI smoke)\n"
         "  --steps <n>         override the bench's step count\n"
         "  --ne <n>            override the bench's mesh resolution\n"
-        "  --workers <n>       engine worker-pool size (ensemble benches)\n"
-        "  --members <n>       ensemble member count\n"
-        "  --latency-us <n>    modeled per-step coupler stall, microseconds\n"
-        "  --ckpt-interval <k> full checkpoint every k saves\n"
         "  --core-groups <n>   core groups per processor/pool; accepted by\n"
         "                      every bench, only affects pipeline-backend\n"
         "                      runs (host-backend benches parse + ignore)\n"
@@ -144,10 +120,6 @@ struct BenchOptions {
     };
     take_int("--steps", opts.steps, 0);
     take_int("--ne", opts.ne, 1);
-    take_int("--workers", opts.workers, 1);
-    take_int("--members", opts.members, 1);
-    take_int("--latency-us", opts.latency_us, 0);
-    take_int("--ckpt-interval", opts.ckpt_interval, 1);
     take_int("--core-groups", opts.core_groups, 1);
 
     for (int i = 1; i < argc; ++i) {

@@ -200,6 +200,7 @@ void EulerKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
                    dp.data() + t, qdp.data() + t, cfg_.dt, &cpe,
                    /*vectorized=*/true);
       }
+      qdp.flush();
     }
   }
 }

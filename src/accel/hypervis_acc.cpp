@@ -164,6 +164,7 @@ void HypervisKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
       hv_tile(which_, dvv.data(), geom.data(), fld.data() + fidx(lev, 0),
               cfg_.nu_dt, &cpe, /*vectorized=*/true);
     }
+    fld.flush();
   }
 }
 

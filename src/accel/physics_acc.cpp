@@ -282,6 +282,11 @@ void PhysicsSchemeKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
     u[l] = c.u[l];
     v[l] = c.v[l];
   }
+  // Innermost first, the order the leases' scopes close in.
+  v.flush();
+  u.flush();
+  q.flush();
+  t.flush();
 }
 
 sw::KernelStats physics_athread(sw::CoreGroup& cg, PackedColumns& p,

@@ -1,7 +1,9 @@
 #include "accel/pipeline.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "accel/tile_math.hpp"
@@ -163,11 +165,15 @@ void merge_stats(sw::KernelStats& total, const sw::KernelStats& s,
 
 FieldLease::~FieldLease() {
   if (cpe_ == nullptr) return;  // resident or moved-from: nothing to tear down
-  if (access_ != Access::kRead) {
-    cpe_->dma_wait(cpe_->dma_put(mem_, span_.data(), span_.size_bytes()));
-    cpe_->counters().dma_cold_bytes += span_.size_bytes();
-  }
+  assert(access_ == Access::kRead || std::uncaught_exceptions() > 0);
   cpe_->ldm().restore(mark_);
+}
+
+void FieldLease::flush() {
+  if (cpe_ == nullptr || access_ == Access::kRead) return;
+  cpe_->dma_wait(cpe_->dma_put(mem_, span_.data(), span_.size_bytes()));
+  cpe_->counters().dma_cold_bytes += span_.size_bytes();
+  access_ = Access::kRead;  // written back: teardown only releases LDM
 }
 
 FieldLease ElemCtx::lease(FieldId id, int sub, std::size_t offset_doubles,

@@ -34,7 +34,10 @@ inline constexpr std::uint16_t kDvvTag = 0xFFFF;
 /// LDM access to one field's element block, granted by ElemCtx::lease().
 /// Residency-transparent: when the field is in the keep set the span
 /// aliases the resident buffer (only hull extensions move); otherwise the
-/// lease stages a private copy and writes it back on destruction.
+/// lease stages a private copy, which flush() writes back. A writable
+/// lease must be flushed before it goes out of scope on the normal path:
+/// the write-back can raise an injected sw::KernelFault, which must not
+/// escape a destructor. Destruction only releases the LDM staging.
 class FieldLease {
  public:
   FieldLease(FieldLease&& o) noexcept
@@ -46,6 +49,10 @@ class FieldLease {
   FieldLease& operator=(const FieldLease&) = delete;
   FieldLease& operator=(FieldLease&&) = delete;
   ~FieldLease();
+
+  /// Write a transient writable copy back to main memory (no-op for
+  /// read-only and resident leases; the keep-set scope flushes those).
+  void flush();
 
   std::span<double> span() const { return span_; }
   double* data() const { return span_.data(); }

@@ -230,6 +230,7 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
       }
     }
     sw::ldm_transpose(cpe, ft.data(), fld.data(), kNpp, nlev);
+    fld.flush();
   };
   remap_field(FieldId::kU1, 0, false);
   remap_field(FieldId::kU2, 0, false);
@@ -246,6 +247,7 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
         dpw[fidx(lev, k)] = tgt_ref[k];
       }
     }
+    dpw.flush();
   }
 }
 

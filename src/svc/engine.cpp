@@ -7,10 +7,6 @@ namespace svc {
 
 namespace {
 
-const char* backend_name(model::SessionConfig::Backend b) {
-  return b == model::SessionConfig::Backend::kPipeline ? "pipeline" : "host";
-}
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -351,35 +347,11 @@ void Engine::execute(Job& job, int worker) {
     if (res.state == RunState::kCompleted) {
       res.diagnostics = session.diagnose();
     }
-    if (req.keep_state) res.final_state = session.state();
-    if (req.config.trace) res.report.add_summary(session.summary());
   } catch (const std::exception& e) {
     res.state = RunState::kFaulted;
     res.error = e.what();
   }
   res.wall_s = seconds_since(t0);
-
-  res.report.config()
-      .set("ne", req.config.ne)
-      .set("nlev", req.config.nlev)
-      .set("qsize", req.config.qsize)
-      .set("nranks", req.config.nranks)
-      .set("backend", backend_name(req.config.backend))
-      .set("scenario", req.scenario)
-      .set("member", req.member)
-      .set("steps", req.steps)
-      .set("priority", req.priority);
-  res.report.root()
-      .set("id", h.id())
-      .set("state", to_string(res.state))
-      .set("error", res.error)
-      .set("steps_done", res.steps_done)
-      .set("wall_s", res.wall_s)
-      .set("queue_wait_s", res.queue_wait_s)
-      .set("worker", res.worker)
-      .set("fallbacks", res.fallbacks)
-      .set("resumed_from", res.resumed_from)
-      .set("state_crc", static_cast<std::uint64_t>(res.state_crc));
 
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -387,10 +359,7 @@ void Engine::execute(Job& job, int worker) {
     counters_.busy_s += res.wall_s;
     if (sampled) {
       ++counters_.state_samples;
-      counters_.state_logical_bytes += store.logical_bytes;
       counters_.state_resident_bytes += store.resident_bytes;
-      counters_.state_chunks += store.chunks;
-      counters_.state_shared_chunks += store.shared_chunks;
       counters_.checkpoint_saves += ckpt.saves;
       counters_.checkpoint_bytes += ckpt.bytes_written;
     }
@@ -434,58 +403,6 @@ EngineStats Engine::stats() const {
     out.mesh_bytes_unshared = bytes_unshared_;
   }
   return out;
-}
-
-obs::Report Engine::summary_report() const {
-  const EngineStats s = stats();
-  obs::Report rep("svc_engine");
-  rep.config()
-      .set("workers", cfg_.workers)
-      .set("queue_capacity", static_cast<std::uint64_t>(cfg_.queue_capacity))
-      .set("reject_when_full", cfg_.reject_when_full)
-      .set("cg_pools", cfg_.cg_pools)
-      .set("core_groups_per_pool", cfg_.core_groups_per_pool)
-      .set("placement",
-           cfg_.placement == EngineConfig::Placement::kPack ? "pack"
-                                                            : "spread");
-  rep.root()
-      .set("submitted", s.submitted)
-      .set("completed", s.completed)
-      .set("faulted", s.faulted)
-      .set("cancelled", s.cancelled)
-      .set("deadline", s.deadline)
-      .set("rejected_full", s.rejected_full)
-      .set("cancelled_queued", s.cancelled_queued)
-      .set("resumed", s.resumed)
-      .set("member_steps", s.member_steps)
-      .set("wall_s", s.wall_s)
-      .set("busy_s", s.busy_s)
-      .set("member_steps_per_s", s.member_steps_per_s())
-      .set("worker_utilization", s.utilization())
-      .set("queue_depth", static_cast<std::uint64_t>(s.queue_depth))
-      .set("queue_high_water",
-           static_cast<std::uint64_t>(s.queue_high_water))
-      .set("mesh_bundles", static_cast<std::uint64_t>(s.mesh_bundles))
-      .set("mesh_bundle_bytes",
-           static_cast<std::uint64_t>(s.mesh_bundle_bytes))
-      .set("mesh_bytes_unshared",
-           static_cast<std::uint64_t>(s.mesh_bytes_unshared))
-      .set("state_samples", s.state_samples)
-      .set("state_logical_bytes", s.state_logical_bytes)
-      .set("state_resident_bytes", s.state_resident_bytes)
-      .set("state_chunks", s.state_chunks)
-      .set("state_shared_chunks", s.state_shared_chunks)
-      .set("checkpoint_saves", s.checkpoint_saves)
-      .set("checkpoint_bytes", s.checkpoint_bytes)
-      .set("resident_bytes_per_member", s.resident_bytes_per_member())
-      .set("cow_shared_fraction", s.cow_shared_fraction())
-      .set("checkpoint_bytes_per_step", s.checkpoint_bytes_per_step())
-      .set("placed_members", s.placed_members)
-      .set("cg_groups_busy_high_water", s.cg_groups_busy_high_water)
-      .set("cg_stream_high_water", s.cg_stream_high_water)
-      .set("cg_contended_ops", s.cg_contended_ops)
-      .set("cg_contended_bytes", s.cg_contended_bytes);
-  return rep;
 }
 
 }  // namespace svc

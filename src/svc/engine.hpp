@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "model/session.hpp"
-#include "obs/report.hpp"
 #include "scenario/registry.hpp"
 #include "svc/queue.hpp"
 #include "sw/config.hpp"
@@ -36,9 +35,8 @@ class CgPool;
 /// shares one immutable model::MeshBundle per (ne, nranks) across every
 /// member, and resolves each request to a typed terminal state —
 /// Completed, Faulted (the member threw; the worker survives), Cancelled,
-/// or Deadline. Each request yields a per-request obs::Report; the engine
-/// aggregates throughput (member-steps/s), queue high-water and worker
-/// utilization into a summary report.
+/// or Deadline. The engine aggregates member-steps, queue high-water and
+/// worker utilization into EngineStats.
 
 namespace svc {
 
@@ -77,7 +75,6 @@ struct RunRequest {
   /// ensemble members block on I/O and coupler exchanges between steps;
   /// the worker pool exists to overlap exactly that latency. 0 disables.
   double step_stall_s = 0.0;
-  bool keep_state = false; ///< retain the final global state in the result
   /// Resume from the config's checkpoint chain when one exists on disk
   /// (model::Session::try_resume). \p steps then names the TOTAL step
   /// target — a member parked at step M runs only the remaining N - M
@@ -92,8 +89,7 @@ struct RunRequest {
   bool checkpoint_on_exit = false;
 };
 
-/// Terminal outcome of one request. Move-only (owns the report and,
-/// optionally, the final state).
+/// Terminal outcome of one request.
 struct RunResult {
   RunState state = RunState::kQueued;
   std::string error;           ///< what() of the fault (kFaulted only)
@@ -107,8 +103,6 @@ struct RunResult {
   /// handle: equal configs must yield equal digests at any worker count.
   std::uint32_t state_crc = 0;
   homme::Diagnostics diagnostics{};
-  homme::State final_state;    ///< filled when RunRequest::keep_state
-  obs::Report report{"svc_member"};  ///< per-request machine-readable record
 };
 
 /// Shared handle to a submitted request. All methods are thread safe.
@@ -200,10 +194,7 @@ struct EngineStats {
   // COW state + checkpoint accounting, sampled from each member after its
   // last step (homme::StoreStats / the async checkpoint-writer counters).
   std::uint64_t state_samples = 0;        ///< members that reported state
-  std::uint64_t state_logical_bytes = 0;  ///< fully-private state cost
   std::uint64_t state_resident_bytes = 0; ///< amortized COW-shared cost
-  std::uint64_t state_chunks = 0;         ///< chunk slots sampled
-  std::uint64_t state_shared_chunks = 0;  ///< slots aliased by other owners
   std::uint64_t checkpoint_saves = 0;     ///< checkpoint-chain saves
   std::uint64_t checkpoint_bytes = 0;     ///< bytes those saves wrote
 
@@ -215,9 +206,6 @@ struct EngineStats {
   std::uint64_t cg_contended_ops = 0;   ///< DMA descriptors issued contended
   std::uint64_t cg_contended_bytes = 0; ///< bytes those descriptors moved
 
-  double member_steps_per_s() const {
-    return wall_s > 0.0 ? static_cast<double>(member_steps) / wall_s : 0.0;
-  }
   double utilization() const {
     const double cap = wall_s * workers;
     return cap > 0.0 ? busy_s / cap : 0.0;
@@ -226,18 +214,6 @@ struct EngineStats {
     return state_samples > 0
                ? static_cast<double>(state_resident_bytes) /
                      static_cast<double>(state_samples)
-               : 0.0;
-  }
-  double cow_shared_fraction() const {
-    return state_chunks > 0
-               ? static_cast<double>(state_shared_chunks) /
-                     static_cast<double>(state_chunks)
-               : 0.0;
-  }
-  double checkpoint_bytes_per_step() const {
-    return member_steps > 0
-               ? static_cast<double>(checkpoint_bytes) /
-                     static_cast<double>(member_steps)
                : 0.0;
   }
 };
@@ -260,8 +236,6 @@ class Engine {
   void shutdown(bool drain = true);
 
   EngineStats stats() const;
-  /// Engine-level summary: config + the EngineStats fields as a report.
-  obs::Report summary_report() const;
 
   /// Install a hook called from a worker thread (outside engine locks)
   /// each time a member reaches a terminal state. One hook; set it

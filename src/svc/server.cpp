@@ -230,10 +230,7 @@ void Server::fold(EngineStats& into, const EngineStats& s) {
   into.mesh_bundle_bytes = s.mesh_bundle_bytes;
   into.mesh_bytes_unshared = s.mesh_bytes_unshared;
   into.state_samples += s.state_samples;
-  into.state_logical_bytes += s.state_logical_bytes;
   into.state_resident_bytes += s.state_resident_bytes;
-  into.state_chunks += s.state_chunks;
-  into.state_shared_chunks += s.state_shared_chunks;
   into.checkpoint_saves += s.checkpoint_saves;
   into.checkpoint_bytes += s.checkpoint_bytes;
   into.placed_members += s.placed_members;

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/report.hpp"
 #include "svc/admission.hpp"
 #include "svc/engine.hpp"
 

@@ -20,6 +20,7 @@
 #include "homme/remap.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "model/session.hpp"
+#include "obs/trace.hpp"
 #include "sw/fault.hpp"
 
 namespace {
@@ -214,10 +215,11 @@ namespace {
 struct FaultedRun {
   std::vector<sw::FaultPlan::Fired> fired;
   int fallbacks = 0;
+  std::uint64_t fallback_events = 0;  ///< accel:host_fallback, if traced
   std::uint32_t digest = 0;
 };
 
-FaultedRun run_faulted_session() {
+FaultedRun run_faulted_session(bool trace = false) {
   sw::FaultPlan plan(/*seed=*/2027);
   plan.inject({sw::FaultKind::kDmaFail, /*target=*/-1, /*op_index=*/3});
   plan.inject({sw::FaultKind::kDmaFail, /*target=*/1, /*op_index=*/16});
@@ -228,20 +230,25 @@ FaultedRun run_faulted_session() {
                        .with_remap_freq(1)
                        .with_backend(model::SessionConfig::Backend::kPipeline)
                        .with_core_groups(4)
-                       .with_faults(&plan));
+                       .with_faults(&plan)
+                       .with_trace(trace));
   s.run(4);
   FaultedRun r;
   r.fired = plan.fired();
   r.fallbacks = s.fallbacks();
+  r.fallback_events = obs::phase_count(s.summary(), "accel:host_fallback");
   r.digest = model::state_digest(s.state(), s.step_count());
   return r;
 }
 
 TEST(PipelineAccelerator, FaultedShardedLaunchesAreDeterministic) {
-  const FaultedRun first = run_faulted_session();
+  // Only the first run is traced: tracing must not perturb the rest.
+  const FaultedRun first = run_faulted_session(/*trace=*/true);
   // Every armed fault fires, each in its own launch.
   ASSERT_EQ(first.fired.size(), 3u);
   EXPECT_EQ(first.fallbacks, 3);
+  // A fallback is otherwise invisible in a report: the trace counts it.
+  EXPECT_EQ(first.fallback_events, 3u);
   for (int run = 1; run < 20; ++run) {
     SCOPED_TRACE("run " + std::to_string(run));
     const FaultedRun r = run_faulted_session();
@@ -254,6 +261,82 @@ TEST(PipelineAccelerator, FaultedShardedLaunchesAreDeterministic) {
     }
     EXPECT_EQ(r.fallbacks, first.fallbacks);
     EXPECT_EQ(r.digest, first.digest);
+  }
+}
+
+/// Worst per-field difference relative to that field's largest magnitude:
+/// a host-redone remap differs from the offloaded one only by rounding,
+/// which a pointwise ratio would blow up wherever a wind crosses zero.
+double state_max_normwise_diff(const homme::State& a, const homme::State& b) {
+  auto field_diff = [&](auto field) {
+    double diff = 0.0;
+    double scale = 1e-300;
+    for (std::size_t e = 0; e < a.size(); ++e) {
+      const auto x = field(a[e]).span();
+      const auto y = field(b[e]).span();
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        diff = std::max(diff, std::abs(x[i] - y[i]));
+        scale = std::max(scale, std::abs(x[i]));
+      }
+    }
+    return diff / scale;
+  };
+  return std::max({field_diff([](const auto& el) -> auto& { return el.u1; }),
+                   field_diff([](const auto& el) -> auto& { return el.u2; }),
+                   field_diff([](const auto& el) -> auto& { return el.T; }),
+                   field_diff([](const auto& el) -> auto& { return el.dp; }),
+                   field_diff([](const auto& el) -> auto& { return el.qdp; })});
+}
+
+struct SweptRun {
+  std::size_t fired = 0;
+  int fallbacks = 0;
+  homme::State state;
+  std::uint32_t digest = 0;
+};
+
+SweptRun run_pipeline_session(int core_groups, sw::FaultPlan* plan) {
+  model::Session s(model::SessionConfig{}
+                       .with_ne(2)
+                       .with_levels(4, 1)
+                       .with_remap_freq(1)
+                       .with_backend(model::SessionConfig::Backend::kPipeline)
+                       .with_core_groups(core_groups)
+                       .with_faults(plan));
+  s.run(2);
+  SweptRun r;
+  r.fired = plan != nullptr ? plan->fired_count() : 0;
+  r.fallbacks = s.fallbacks();
+  r.state = s.state();
+  r.digest = model::state_digest(s.state(), s.step_count());
+  return r;
+}
+
+// Every DMA or CPE op a remap launch issues, faulted in turn: the launch
+// either never sees the fault (clean digest) or is discarded and redone
+// on the host (remap rounding only). A fault surfacing while a transient
+// lease writes back must reach the fallback too, not std::terminate.
+TEST(PipelineAccelerator, EveryFaultedOpFallsBackOrLeavesTheRunClean) {
+  for (int cgs : {1, 4}) {
+    const SweptRun clean = run_pipeline_session(cgs, nullptr);
+    for (sw::FaultKind kind : {sw::FaultKind::kDmaFail,
+                               sw::FaultKind::kCpeDeath}) {
+      for (int op = 1; op <= 64; ++op) {
+        SCOPED_TRACE(std::to_string(cgs) + " CGs, kind " +
+                     std::to_string(static_cast<int>(kind)) + ", op " +
+                     std::to_string(op));
+        sw::FaultPlan plan(/*seed=*/4242);
+        plan.inject({kind, /*target=*/0, /*op_index=*/op});
+        const SweptRun r = run_pipeline_session(cgs, &plan);
+        if (r.fired == 0) {
+          EXPECT_EQ(r.fallbacks, 0);
+          EXPECT_EQ(r.digest, clean.digest);
+        } else {
+          EXPECT_GE(r.fallbacks, 1);
+          EXPECT_LT(state_max_normwise_diff(clean.state, r.state), 1e-9);
+        }
+      }
+    }
   }
 }
 

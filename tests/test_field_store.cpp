@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -256,6 +257,22 @@ TEST(SessionFork, ChildContinuesBitIdenticallyAndSharesAtBirth) {
   EXPECT_DOUBLE_EQ(born.shared_fraction(), 1.0);
   EXPECT_EQ(born.exclusive_bytes, 0u);
   EXPECT_LE(born.resident_bytes, born.logical_bytes / 2);
+
+  // At ensemble scale every fork still aliases the parent: 1024 members
+  // each pay at least 4x less than private state.
+  {
+    std::vector<std::unique_ptr<model::Session>> members;
+    for (int i = 0; i < 1024; ++i) members.push_back(parent.fork());
+    int heavy = 0;
+    for (const auto& m : members) {
+      const homme::StoreStats st = m->store_stats();
+      if (st.resident_bytes * 4 > st.logical_bytes ||
+          st.shared_fraction() <= 0.99) {
+        ++heavy;
+      }
+    }
+    EXPECT_EQ(heavy, 0) << "of 1024 forks";
+  }
 
   // The child's future equals the parent's future, bit for bit.
   child->run(3);

@@ -116,18 +116,6 @@ def validate(path):
 # Root-level numeric fields a bench's report must carry, keyed by the
 # report's "bench" string. Keep in sync with each bench's write_json.
 REQUIRED_ROOT_FIELDS = {
-    "ensemble_throughput": (
-        "resident_bytes_per_member",
-        "checkpoint_bytes_per_step",
-        "cow_shared_fraction",
-    ),
-    "service_soak": (
-        "drain_restart_cycles",
-        "retries",
-        "digest_mismatches",
-        "leaked_members",
-        "snapshot_count",
-    ),
     "multicg": (
         "digest_mismatches",
         "placement_digest_mismatches",
@@ -144,26 +132,6 @@ REQUIRED_ROOT_FIELDS = {
         "fine_state_crc",
         "coarse_state_crc",
     ),
-}
-
-# Schema of one entry in a report's "snapshots" array — the periodic
-# metrics samples a soak bench captures from svc::Server. "label" is the
-# only string; everything else is a counter a dashboard can plot.
-SNAPSHOT_FIELDS = {
-    "label": str,
-    "members_total": int,
-    "done": int,
-    "active": int,
-    "backoff": int,
-    "parked": int,
-    "retries": int,
-    "restarts": int,
-    "engine_submitted": int,
-    "engine_completed": int,
-    "engine_faulted": int,
-    "engine_cancelled": int,
-    "engine_resumed": int,
-    "queue_depth": int,
 }
 
 PHASE_FIELDS = {
@@ -203,27 +171,6 @@ def validate_report(path):
                 return fail(path, f"{where}: {key!r} has the wrong type")
         if p["count"] < 0 or p["total_us"] < 0:
             return fail(path, f"{where}: negative count/total_us")
-
-    snapshots = doc.get("snapshots", [])
-    if not isinstance(snapshots, list):
-        return fail(path, '"snapshots" must be a list when present')
-    for i, s in enumerate(snapshots):
-        where = f"snapshots[{i}]"
-        if not isinstance(s, dict):
-            return fail(path, f"{where}: snapshot is not an object")
-        for key, ty in SNAPSHOT_FIELDS.items():
-            if key not in s:
-                return fail(path, f"{where}: missing {key!r}")
-            if ty is int:
-                if not isinstance(s[key], int) or isinstance(s[key], bool):
-                    return fail(path, f"{where}: {key!r} must be an integer")
-            elif not isinstance(s[key], ty):
-                return fail(path, f"{where}: {key!r} must be {ty.__name__}")
-    if "snapshot_count" in doc and doc["snapshot_count"] != len(snapshots):
-        return fail(
-            path,
-            f'"snapshot_count" {doc["snapshot_count"]} != '
-            f"{len(snapshots)} snapshots")
 
     for key in REQUIRED_ROOT_FIELDS.get(doc["bench"], ()):
         if key not in doc:

@@ -27,7 +27,10 @@ accel::Table1Config g_cfg;
 obs::Tracer g_tracer(obs::ClockDomain::kVirtual);
 
 const std::vector<accel::Table1Row>& rows() {
-  static const auto r = [] { return accel::run_table1(g_cfg, &g_tracer); }();
+  static const auto r = [] {
+    sw::CoreGroup cg;  // a lone group: no sibling DMA streams
+    return accel::run_table1(cg, g_cfg, &g_tracer);
+  }();
   return r;
 }
 

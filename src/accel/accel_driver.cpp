@@ -184,6 +184,10 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
     degrade(s, e.what());
   } catch (const sw::SchedulerDeadlock& e) {
     degrade(s, e.what());
+  } catch (const homme::RemapError& e) {
+    // A corrupted transfer the remap rejects. The host redo runs on s,
+    // which the launch never touched; a state it rejects too still throws.
+    degrade(s, e.what());
   }
 }
 

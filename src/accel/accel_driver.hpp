@@ -42,11 +42,13 @@ class PipelineAccelerator final : public homme::StepAccelerator {
                       std::vector<int> geom_map = {});
 
   /// Offload to the CPE pipeline; on a kernel fault (injected DMA/reg
-  /// failure, CPE death, LDM overflow, scheduler deadlock) the poisoned
-  /// launch is discarded — the host state was never touched; shard
-  /// images unpack only after every shard succeeded — and the remap
-  /// re-runs on the host reference path, bit-identical to a
-  /// never-accelerated step. The fallback is recorded in the launch
+  /// failure, CPE death, LDM overflow, scheduler deadlock) or a column the
+  /// kernel's remap rejects (homme::RemapError, e.g. a corrupted
+  /// transfer) the poisoned launch is discarded — the host state was
+  /// never touched; shard images unpack only after every shard
+  /// succeeded — and the remap re-runs on the host reference path,
+  /// bit-identical to a never-accelerated step. A state the host remap
+  /// rejects too still throws its homme::RemapError. The fallback is recorded in the launch
   /// stats (CpeCounters::host_fallbacks) and in fallbacks()/last_fault().
   /// Shards run concurrently on homme::HostPool, each under its own
   /// group's lock; their stats aggregate in shard order.

@@ -168,12 +168,4 @@ void HypervisKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   }
 }
 
-sw::KernelStats hypervis_athread(sw::CoreGroup& cg, PackedElems& p,
-                                 HvKernel which,
-                                 const HypervisAccConfig& cfg) {
-  HypervisKernel k(p, which, cfg);
-  KernelPipeline pipe({&k});
-  return pipe.run(cg);
-}
-
 }  // namespace accel

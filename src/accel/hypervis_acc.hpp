@@ -60,8 +60,4 @@ class HypervisKernel final : public Kernel {
   HypervisAccConfig cfg_;
 };
 
-sw::KernelStats hypervis_athread(sw::CoreGroup& cg, PackedElems& p,
-                                 HvKernel which,
-                                 const HypervisAccConfig& cfg);
-
 }  // namespace accel

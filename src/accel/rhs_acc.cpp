@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "accel/pipeline.hpp"
 #include "accel/tile_math.hpp"
 #include "homme/dims.hpp"
 #include "homme/state.hpp"
@@ -433,7 +432,7 @@ sw::KernelStats rhs_athread_impl(sw::CoreGroup& cg, PackedElems& p,
 void RhsKernel::validate(const Workset&) const {
   if (p_.nlev % sw::kCpeRows != 0) {
     throw std::invalid_argument(
-        "rhs_athread: nlev must be a multiple of the CPE row count (8); "
+        "RhsKernel: nlev must be a multiple of the CPE row count (8); "
         "the Figure 2 layer decomposition requires equal blocks");
   }
 }
@@ -466,13 +465,6 @@ std::vector<FieldUse> RhsKernel::footprint() const {
 
 sw::KernelStats RhsKernel::launch(sw::CoreGroup& cg, const Workset&) const {
   return rhs_athread_impl(cg, p_, cfg_);
-}
-
-sw::KernelStats rhs_athread(sw::CoreGroup& cg, PackedElems& p,
-                            const RhsAccConfig& cfg) {
-  RhsKernel k(p, cfg);
-  KernelPipeline pipe({&k});
-  return pipe.run(cg);
 }
 
 }  // namespace accel

@@ -39,7 +39,8 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
 /// *non-fusible*: its vertical scans run as register communication along
 /// whole CPE columns (Figure 2), which the element-major fused schedule
 /// cannot express — so the pipeline runs it as a barrier through
-/// launch() between fused segments.
+/// launch() between fused segments. This is the Athread port; validate()
+/// rejects a p.nlev that is not a multiple of the CPE row count (8).
 class RhsKernel final : public Kernel {
  public:
   RhsKernel(PackedElems& p, const RhsAccConfig& cfg) : p_(p), cfg_(cfg) {}
@@ -55,10 +56,5 @@ class RhsKernel final : public Kernel {
   PackedElems& p_;
   RhsAccConfig cfg_;
 };
-
-/// Athread fine-grained port with register-communication scans.
-/// Requires p.nlev to be a multiple of the CPE row count (8).
-sw::KernelStats rhs_athread(sw::CoreGroup& cg, PackedElems& p,
-                            const RhsAccConfig& cfg);
 
 }  // namespace accel

@@ -28,7 +28,7 @@ double max_rel_diff(const std::vector<double>& a,
 struct KernelSpec {
   std::string name;
   double paper_intel, paper_mpe, paper_acc;
-  sw::WorkEstimate (*work)(const PackedElems&);
+  std::function<sw::WorkEstimate(const PackedElems&)> work;
   std::function<void(PackedElems&)> ref;
   std::function<sw::KernelStats(sw::CoreGroup&, PackedElems&)> acc;
   std::function<sw::KernelStats(sw::CoreGroup&, PackedElems&)> athread;
@@ -46,7 +46,7 @@ double packed_max_rel_diff(const PackedElems& a, const PackedElems& b) {
   return worst;
 }
 
-std::vector<Table1Row> run_table1(const Table1Config& cfg,
+std::vector<Table1Row> run_table1(sw::CoreGroup& cg, const Table1Config& cfg,
                                   obs::Tracer* tracer) {
   homme::Dims d;
   d.nlev = cfg.nlev;
@@ -90,11 +90,17 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
                      RemapKernel k(p);
                      return KernelPipeline({&k}).run(cg);
                    }});
+  // Hyperviscosity traffic: \p apps Laplacian applications over
+  // \p fields fields (u1, u2, T for dp1/dp2; dp only for the biharmonic).
   auto add_hv = [&](const std::string& name, double pi, double pm, double pa,
-                    HvKernel which, int apps) {
+                    HvKernel which, int apps, std::uint64_t fields) {
     specs.push_back(
         {name, pi, pm, pa,
-         nullptr,  // bytes handled below via laplace_work(apps)
+         [apps, fields](const PackedElems& p) {
+           sw::WorkEstimate w = laplace_work(p, apps);
+           w.bytes *= fields;
+           return w;
+         },
          [&, which](PackedElems& p) { hypervis_ref(p, which, hv_cfg); },
          [&, which](sw::CoreGroup& cg, PackedElems& p) {
            return hypervis_openacc(cg, p, which, hv_cfg);
@@ -103,11 +109,10 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
            HypervisKernel k(p, which, hv_cfg);
            return KernelPipeline({&k}).run(cg);
          }});
-    (void)apps;
   };
-  add_hv("hypervis_dp1", 4.95, 12.71, 3.13, HvKernel::kDp1, 1);
-  add_hv("hypervis_dp2", 3.81, 9.05, 1.32, HvKernel::kDp2, 2);
-  add_hv("biharmonic_dp3d", 9.35, 36.18, 4.43, HvKernel::kBiharmDp3d, 2);
+  add_hv("hypervis_dp1", 4.95, 12.71, 3.13, HvKernel::kDp1, 1, 3);
+  add_hv("hypervis_dp2", 3.81, 9.05, 1.32, HvKernel::kDp2, 2, 3);
+  add_hv("biharmonic_dp3d", 9.35, 36.18, 4.43, HvKernel::kBiharmDp3d, 2, 1);
 
   // The counter columns flow through the obs:: summary: every launch span
   // carries its CpeCounters attachment, and per-platform values are
@@ -119,7 +124,11 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
   obs::Tracer* tr =
       (tracer != nullptr && tracer->enabled()) ? tracer : &internal;
 
-  sw::CoreGroup cg;
+  // Detach on every exit: the internal tracer dies with this call.
+  struct TracerDetach {
+    sw::CoreGroup& cg;
+    ~TracerDetach() { cg.set_tracer(nullptr); }
+  } detach{cg};
   cg.set_tracer(tr, sw::CoreGroup::kDefaultTracePid, "table1/cg");
   std::vector<Table1Row> rows;
   for (std::size_t si = 0; si < specs.size(); ++si) {
@@ -200,18 +209,7 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
     row.acc_s = acc_stats.seconds;
     row.athread_s = ath_stats.seconds;
 
-    sw::WorkEstimate w;
-    if (spec.work != nullptr) {
-      w = spec.work(base);
-    } else if (spec.name == "hypervis_dp1") {
-      w = laplace_work(base, 1);
-      w.bytes *= 3;  // u1, u2, T
-    } else if (spec.name == "hypervis_dp2") {
-      w = laplace_work(base, 2);
-      w.bytes *= 3;
-    } else {
-      w = laplace_work(base, 2);  // biharmonic_dp3d: dp only
-    }
+    sw::WorkEstimate w = spec.work(base);
     w.flops = row.flops;
     row.intel_s = sw::roofline_seconds(w, sw::platforms::intel_core);
     row.mpe_s = sw::roofline_seconds(w, sw::platforms::sw_mpe);

@@ -20,6 +20,10 @@
 /// 6,144-process ne256 runs; we report per-invocation seconds of one
 /// process's share (64 elements), so the *ratios* are the comparable
 /// quantity.
+///
+/// The rows are also the one kernel measurement behind the machine-scale
+/// figures: perf::MachineModel::calibrate weights them into the cost of a
+/// dynamics step that Figures 6-8 scale out.
 
 namespace accel {
 
@@ -56,8 +60,13 @@ struct Table1Row {
   double athread_speedup_vs_intel() const { return intel_s / athread_s; }
 };
 
-/// Run all six kernels on every platform; also verifies that the OpenACC
-/// and Athread ports agree with the host reference (throws on mismatch).
+/// Run all six kernels on every platform on \p cg; also verifies that the
+/// OpenACC and Athread ports agree with the host reference (throws on
+/// mismatch). Each kernel runs the host reference, then the OpenACC port,
+/// then the Athread port. The Table 1 bench passes a lone core group;
+/// perf::MachineModel::calibrate passes group 0 of a CgPool with sibling
+/// DMA streams declared, so its rows are the contended costs of a loaded
+/// processor. \p cg is left with no tracer attached.
 ///
 /// The flop/DMA columns are consumed from the obs:: per-phase summary
 /// (launch-span counter attachments) rather than read off KernelStats
@@ -67,7 +76,7 @@ struct Table1Row {
 /// Pass an enabled \p tracer to additionally capture the kernel timeline
 /// ("table1/cg" tracks); with nullptr (or a disabled tracer) an internal
 /// tracer feeds the counter path and nothing is retained.
-std::vector<Table1Row> run_table1(const Table1Config& cfg,
+std::vector<Table1Row> run_table1(sw::CoreGroup& cg, const Table1Config& cfg,
                                   obs::Tracer* tracer = nullptr);
 
 /// Maximum relative deviation between two packed element sets (used by

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
-#include "accel/euler_acc.hpp"
-#include "accel/hypervis_acc.hpp"
 #include "accel/remap_acc.hpp"
-#include "accel/rhs_acc.hpp"
 #include "accel/table1.hpp"
 #include "sw/cg_pool.hpp"
-#include "sw/cost_model.hpp"
 
 namespace perf {
 
@@ -47,10 +45,6 @@ MachineModel MachineModel::calibrate(int nlev, int qsize, int nelem,
   d.qsize = qsize;
   auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
   const auto base = accel::PackedElems::synthetic(mesh, d, nelem);
-  const accel::EulerAccConfig ecfg{};
-  const auto derived = accel::EulerDerived::make(base, ecfg.shared_extra);
-  const accel::RhsAccConfig rcfg{};
-  const accel::HypervisAccConfig hcfg{};
 
   // All measurements run on group 0 of a real pool so DMA costs sample
   // the shared memory controller. First the contention curve: the most
@@ -77,72 +71,34 @@ MachineModel MachineModel::calibrate(int nlev, int qsize, int nelem,
   m.contention_slowdown = m.contention.back().slowdown;
 
   // Per-element costs, measured with the processor fully loaded: the
-  // sibling groups' streams stay declared while every piece runs, so
+  // sibling groups' streams stay declared while Table 1 runs, so its
   // acc/ath seconds are the contended ones.
   std::vector<sw::MemoryContention::StreamGuard> load;
   load.reserve(static_cast<std::size_t>(m.active_cgs));
   for (int i = 0; i < m.active_cgs; ++i) load.emplace_back(pool.contention());
+  const std::vector<accel::Table1Row> rows =
+      accel::run_table1(cg, accel::Table1Config{nelem, nlev, qsize, 2});
 
   // One dynamics step = 3 RK stages + 3 tracer stages + hyperviscosity +
-  // biharmonic + 1/3 vertical remap (remap every 3rd step).
-  struct Piece {
-    double weight;
-    sw::KernelStats acc, ath;
-    sw::WorkEstimate work;
-  };
-  std::vector<Piece> pieces;
-  {
-    Piece pc{3.0, {}, {}, accel::rhs_work(base)};
-    auto p1 = base;
-    pc.acc = accel::rhs_openacc(cg, p1, rcfg);
-    auto p2 = base;
-    pc.ath = accel::rhs_athread(cg, p2, rcfg);
-    pieces.push_back(pc);
-  }
-  {
-    Piece pc{3.0, {}, {}, accel::euler_step_work(base)};
-    auto p1 = base;
-    pc.acc = accel::euler_openacc(cg, p1, derived, ecfg);
-    auto p2 = base;
-    pc.ath = accel::euler_athread(cg, p2, derived, ecfg);
-    pieces.push_back(pc);
-  }
-  {
-    Piece pc{1.0, {}, {}, accel::laplace_work(base, 2)};
-    pc.work.bytes *= 3;
-    auto p1 = base;
-    pc.acc = accel::hypervis_openacc(cg, p1, accel::HvKernel::kDp2, hcfg);
-    auto p2 = base;
-    pc.ath = accel::hypervis_athread(cg, p2, accel::HvKernel::kDp2, hcfg);
-    pieces.push_back(pc);
-  }
-  {
-    Piece pc{1.0, {}, {}, accel::laplace_work(base, 2)};
-    auto p1 = base;
-    pc.acc =
-        accel::hypervis_openacc(cg, p1, accel::HvKernel::kBiharmDp3d, hcfg);
-    auto p2 = base;
-    pc.ath =
-        accel::hypervis_athread(cg, p2, accel::HvKernel::kBiharmDp3d, hcfg);
-    pieces.push_back(pc);
-  }
-  {
-    Piece pc{1.0 / 3.0, {}, {}, accel::remap_work(base)};
-    auto p1 = base;
-    pc.acc = accel::remap_openacc(cg, p1);
-    auto p2 = base;
-    pc.ath = accel::remap_athread(cg, p2);
-    pieces.push_back(pc);
-  }
-
+  // biharmonic + 1/3 vertical remap (remap every 3rd step). Summed in this
+  // fixed order, not Table 1's row order: floating-point addition is not
+  // associative, and test_perf_model pins the sums in this order.
+  const std::pair<const char*, double> step[] = {
+      {"compute_and_apply_rhs", 3.0}, {"euler_step", 3.0},
+      {"hypervis_dp2", 1.0},          {"biharmonic_dp3d", 1.0},
+      {"vertical_remap", 1.0 / 3.0}};
   double acc_s = 0.0, ath_s = 0.0, mpe_s = 0.0, flops = 0.0;
-  for (auto& pc : pieces) {
-    acc_s += pc.weight * pc.acc.seconds;
-    ath_s += pc.weight * pc.ath.seconds;
-    sw::WorkEstimate w = pc.work;
-    w.flops = pc.ath.totals.total_flops();
-    mpe_s += pc.weight * sw::roofline_seconds(w, sw::platforms::sw_mpe);
-    flops += pc.weight * static_cast<double>(pc.ath.totals.total_flops());
+  for (const auto& [name, weight] : step) {
+    const auto row =
+        std::find_if(rows.begin(), rows.end(),
+                     [&](const accel::Table1Row& r) { return r.name == name; });
+    if (row == rows.end()) {
+      throw std::logic_error(std::string("calibrate: no Table 1 row ") + name);
+    }
+    acc_s += weight * row->acc_s;
+    ath_s += weight * row->athread_s;
+    mpe_s += weight * row->mpe_s;
+    flops += weight * static_cast<double>(row->flops);
   }
   // The MPE reaches memory through the same shared controller, so the
   // analytic roofline of the original port degrades by the measured

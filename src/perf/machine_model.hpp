@@ -11,7 +11,8 @@
 /// The scaling results of the paper (Figures 6-8, Table 3) were measured
 /// on up to 10,075,000 cores. We reproduce their *shape* by composing
 ///   (a) per-element per-step kernel costs and flop counts *measured* on
-///       the functional SW26010 simulator (calibrate()), with
+///       the functional SW26010 simulator — Table 1's kernel rows,
+///       weighted into a step by calibrate() — with
 ///   (b) the analytic two-level TaihuLight network model,
 /// exactly the decomposition the paper itself uses when it attributes
 /// 23% of large-scale runtime to communication (section 7.6).
@@ -65,13 +66,18 @@ struct MachineModel {
   int active_cgs = 1;
   double contention_slowdown = 1.0;  ///< curve value at active_cgs
 
-  /// Run the Table-1 kernels on the simulator and derive the per-element
-  /// step costs. \p nelem is the per-process element count used for the
-  /// calibration workset. \p active_cgs is the number of sibling core
-  /// groups concurrently streaming DMA while the costs are measured
-  /// (4 = every group of a fully loaded SW26010); the realized
-  /// contention curve is measured on a CgPool, not taken from the
-  /// sw/config.hpp constants.
+  /// Derive the per-element step costs from one accel::run_table1 call
+  /// (Table1Config{nelem, nlev, qsize, mesh_ne = 2}) on group 0 of a
+  /// CgPool: a step is rhs x3, euler x3, hypervis_dp2, biharmonic_dp3d
+  /// and 1/3 vertical_remap, summed in that order. The ori cost is the
+  /// rows' MPE roofline scaled by the contention slowdown. \p nelem is
+  /// the per-process element count of the calibration workset.
+  /// \p active_cgs is the number of sibling core groups concurrently
+  /// streaming DMA while Table 1 runs (4 = every group of a fully loaded
+  /// SW26010); the contention curve is measured on the pool with a remap
+  /// probe at 1..active_cgs streams, not taken from the sw/config.hpp
+  /// constants. Throws what run_table1 throws when a port diverges from
+  /// its host reference.
   static MachineModel calibrate(int nlev = 128, int qsize = 25,
                                 int nelem = 64, int active_cgs = 4);
 

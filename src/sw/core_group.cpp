@@ -37,7 +37,7 @@ void Cpe::trace_reg(const char* name) {
 // ---------------------------------------------------------------------------
 
 bool Cpe::dma_fault_corrupts(std::size_t bytes) {
-  FaultPlan* fp = cg_->active_faults_;
+  FaultPlan* fp = cg_->faults_;
   if (fp == nullptr) return false;
   const auto f = fp->on_dma_op(id_);
   if (!f) return false;
@@ -49,7 +49,7 @@ bool Cpe::dma_fault_corrupts(std::size_t bytes) {
 void Cpe::apply_corruption(void* dst, std::size_t bytes) {
   const std::size_t nwords = bytes / sizeof(std::uint64_t);
   if (nwords == 0) return;
-  const auto [idx, mask] = cg_->active_faults_->next_corruption(nwords);
+  const auto [idx, mask] = cg_->faults_->next_corruption(nwords);
   std::uint64_t word;
   auto* p = static_cast<std::byte*>(dst) + idx * sizeof(std::uint64_t);
   std::memcpy(&word, p, sizeof(word));
@@ -198,7 +198,7 @@ void Cpe::SendAwaiter::await_resume() {
   self.clock_ += kRegCommSendCycles;
   self.ctr_.reg_sends += 1;
   if (self.trace_ != nullptr) self.trace_reg("reg:send");
-  if (FaultPlan* fp = self.cg_->active_faults_) {
+  if (FaultPlan* fp = self.cg_->faults_) {
     if (const auto f = fp->on_reg_send(self.id_)) {
       fp->note_fired(*f, kVectorBytes);
       if (f->kind == FaultKind::kCpeDeath) {
@@ -338,7 +338,6 @@ KernelStats CoreGroup::run(const std::function<Task(Cpe&)>& make_kernel,
   assert(ncpes >= 1 && ncpes <= kCpesPerGroup);
 
   // Reset chip state for a fresh kernel launch.
-  active_faults_ = opts.faults != nullptr ? opts.faults : default_faults_;
   dropped_reg_.clear();
   mc_busy_total_ = 0.0;
   barrier_waiting_ = 0;

@@ -218,10 +218,6 @@ struct RunOptions {
   /// kernel launches. The LDM peak is re-based to the preserved mark so
   /// per-launch peaks remain meaningful.
   bool preserve_ldm = false;
-  /// Fault-injection schedule consulted on every DMA descriptor and
-  /// register-communication send of this launch (nullptr: use the plan
-  /// installed with CoreGroup::set_fault_plan, if any).
-  FaultPlan* faults = nullptr;
   /// Span name for this launch on the core group's trace track (interned
   /// or static storage).
   const char* trace_name = "launch";
@@ -247,10 +243,11 @@ class CoreGroup {
 
   Cpe& cpe(int id) { return cpes_[static_cast<std::size_t>(id)]; }
 
-  /// Install a default fault plan for subsequent launches (nullptr
-  /// detaches). RunOptions::faults overrides it per launch.
-  void set_fault_plan(FaultPlan* plan) { default_faults_ = plan; }
-  FaultPlan* fault_plan() const { return default_faults_; }
+  /// Install a fault plan consulted on every DMA descriptor and
+  /// register-communication send of subsequent launches (nullptr
+  /// detaches).
+  void set_fault_plan(FaultPlan* plan) { faults_ = plan; }
+  FaultPlan* fault_plan() const { return faults_; }
 
   /// Attach (or detach with nullptr) the shared memory-controller
   /// contention model. Every DMA descriptor then samples the number of
@@ -323,11 +320,10 @@ class CoreGroup {
   std::vector<detail::RegFifo> row_fifos_;
   std::vector<detail::RegFifo> col_fifos_;
 
-  // Fault injection: plan active for the current launch, plus the
+  // Fault injection: the plan installed with set_fault_plan, plus the
   // register messages it swallowed (a drop that starves a receiver turns
   // the scheduler's deadlock report into a typed KernelFault).
-  FaultPlan* default_faults_ = nullptr;
-  FaultPlan* active_faults_ = nullptr;
+  FaultPlan* faults_ = nullptr;
   struct DroppedReg {
     int cpe;
     int op_index;

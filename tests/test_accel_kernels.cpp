@@ -2,6 +2,7 @@
 
 #include "accel/euler_acc.hpp"
 #include "accel/hypervis_acc.hpp"
+#include "accel/pipeline.hpp"
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
 #include "accel/table1.hpp"
@@ -83,7 +84,8 @@ TEST(AccelRhs, PortsMatchReferenceWithinScanReordering) {
   auto acc = base;
   accel::rhs_openacc(fx.cg, acc, cfg);
   auto ath = base;
-  accel::rhs_athread(fx.cg, ath, cfg);
+  accel::RhsKernel k(ath, cfg);
+  accel::KernelPipeline({&k}).run(fx.cg);
   // The OpenACC port performs the same sequential scans: bit identical.
   EXPECT_EQ(accel::packed_max_rel_diff(ref, acc), 0.0);
   // The 3-stage register scan reassociates the sums: tiny fp difference.
@@ -96,7 +98,8 @@ TEST(AccelRhs, AthreadBeatsOpenAccHandily) {
   auto acc = fx.make(8);
   auto ath = acc;
   const double t_acc = accel::rhs_openacc(fx.cg, acc, cfg).seconds;
-  const double t_ath = accel::rhs_athread(fx.cg, ath, cfg).seconds;
+  accel::RhsKernel k(ath, cfg);
+  const double t_ath = accel::KernelPipeline({&k}).run(fx.cg).seconds;
   // The paper's Table 1: OpenACC 75.11s vs Athread far below Intel's
   // 12.69s — at least several-fold here.
   EXPECT_GT(t_acc / t_ath, 4.0);
@@ -137,7 +140,8 @@ TEST_P(AccelHypervis, PortsMatchReference) {
   auto acc = base;
   accel::hypervis_openacc(fx.cg, acc, GetParam(), cfg);
   auto ath = base;
-  accel::hypervis_athread(fx.cg, ath, GetParam(), cfg);
+  accel::HypervisKernel k(ath, GetParam(), cfg);
+  accel::KernelPipeline({&k}).run(fx.cg);
   EXPECT_EQ(accel::packed_max_rel_diff(ref, acc), 0.0);
   EXPECT_EQ(accel::packed_max_rel_diff(ref, ath), 0.0);
 }
@@ -157,7 +161,8 @@ TEST(AccelTable1, RealisticConfigReproducesOrdering) {
   cfg.nlev = 64;
   cfg.qsize = 6;
   cfg.mesh_ne = 2;
-  auto rows = accel::run_table1(cfg);
+  sw::CoreGroup cg;
+  auto rows = accel::run_table1(cg, cfg);
   ASSERT_EQ(rows.size(), 6u);
   for (const auto& r : rows) {
     // MPE is the slowest serial platform.

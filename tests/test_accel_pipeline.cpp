@@ -293,6 +293,11 @@ struct SweptRun {
   int fallbacks = 0;
   homme::State state;
   std::uint32_t digest = 0;
+  /// A step ended with the fault fired and no fallback: the remap
+  /// accepted a corrupted transfer and the run went on with its numbers.
+  bool accepted_fault = false;
+  /// What a homme::RemapError that escaped Session::step said.
+  std::string remap_error;
 };
 
 SweptRun run_pipeline_session(int core_groups, sw::FaultPlan* plan) {
@@ -303,8 +308,17 @@ SweptRun run_pipeline_session(int core_groups, sw::FaultPlan* plan) {
                        .with_backend(model::SessionConfig::Backend::kPipeline)
                        .with_core_groups(core_groups)
                        .with_faults(plan));
-  s.run(2);
   SweptRun r;
+  try {
+    for (int step = 0; step < 2; ++step) {
+      s.step();
+      if (plan != nullptr && plan->fired_count() > 0 && s.fallbacks() == 0) {
+        r.accepted_fault = true;
+      }
+    }
+  } catch (const homme::RemapError& e) {
+    r.remap_error = e.what();
+  }
   r.fired = plan != nullptr ? plan->fired_count() : 0;
   r.fallbacks = s.fallbacks();
   r.state = s.state();
@@ -315,27 +329,46 @@ SweptRun run_pipeline_session(int core_groups, sw::FaultPlan* plan) {
 // Every DMA or CPE op a remap launch issues, faulted in turn: the launch
 // either never sees the fault (clean digest) or is discarded and redone
 // on the host (remap rounding only). A fault surfacing while a transient
-// lease writes back must reach the fallback too, not std::terminate.
+// lease writes back must reach the fallback too, not std::terminate, and
+// a corrupted transfer the remap rejects (homme::RemapError) falls back
+// like a failed one instead of escaping Session::step.
+//
+// Silent corruption is not detected yet: a flipped bit the remap accepts
+// leaves the run going on corrupted numbers. When those poison a later
+// step's columns, the host redo rejects them too, and that typed error is
+// the only escape allowed.
 TEST(PipelineAccelerator, EveryFaultedOpFallsBackOrLeavesTheRunClean) {
   for (int cgs : {1, 4}) {
     const SweptRun clean = run_pipeline_session(cgs, nullptr);
-    for (sw::FaultKind kind : {sw::FaultKind::kDmaFail,
-                               sw::FaultKind::kCpeDeath}) {
+    for (sw::FaultKind kind :
+         {sw::FaultKind::kDmaFail, sw::FaultKind::kCpeDeath,
+          sw::FaultKind::kDmaCorrupt}) {
+      int recovered = 0;
       for (int op = 1; op <= 64; ++op) {
         SCOPED_TRACE(std::to_string(cgs) + " CGs, kind " +
                      std::to_string(static_cast<int>(kind)) + ", op " +
                      std::to_string(op));
         sw::FaultPlan plan(/*seed=*/4242);
         plan.inject({kind, /*target=*/0, /*op_index=*/op});
-        const SweptRun r = run_pipeline_session(cgs, &plan);
-        if (r.fired == 0) {
+        SweptRun r;
+        ASSERT_NO_THROW(r = run_pipeline_session(cgs, &plan));
+        if (!r.remap_error.empty()) {
+          EXPECT_EQ(kind, sw::FaultKind::kDmaCorrupt) << r.remap_error;
+          EXPECT_TRUE(r.accepted_fault) << r.remap_error;
+          EXPECT_GE(r.fallbacks, 1) << r.remap_error;
+        } else if (r.fired == 0) {
           EXPECT_EQ(r.fallbacks, 0);
           EXPECT_EQ(r.digest, clean.digest);
+        } else if (r.accepted_fault) {
+          EXPECT_EQ(kind, sw::FaultKind::kDmaCorrupt);
         } else {
           EXPECT_GE(r.fallbacks, 1);
           EXPECT_LT(state_max_normwise_diff(clean.state, r.state), 1e-9);
+          ++recovered;
         }
       }
+      EXPECT_GT(recovered, 0) << cgs << " CGs, kind "
+                              << static_cast<int>(kind);
     }
   }
 }

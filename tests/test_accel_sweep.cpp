@@ -9,6 +9,7 @@
 
 #include "accel/euler_acc.hpp"
 #include "accel/hypervis_acc.hpp"
+#include "accel/pipeline.hpp"
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
 #include "accel/table1.hpp"
@@ -79,7 +80,8 @@ TEST_P(AccelShapeSweep, HypervisDp2PortsAgree) {
   accel::hypervis_ref(ref, accel::HvKernel::kDp2, cfg);
   sw::CoreGroup cg;
   auto ath = base;
-  accel::hypervis_athread(cg, ath, accel::HvKernel::kDp2, cfg);
+  accel::HypervisKernel k(ath, accel::HvKernel::kDp2, cfg);
+  accel::KernelPipeline({&k}).run(cg);
   EXPECT_EQ(accel::packed_max_rel_diff(ref, ath), 0.0);
 }
 
@@ -105,7 +107,8 @@ TEST(AccelRhsSweep, PortsAgreeOverLevelMultiplesOfEight) {
     auto ref = base;
     accel::rhs_ref(ref, cfg);
     auto ath = base;
-    accel::rhs_athread(cg, ath, cfg);
+    accel::RhsKernel k(ath, cfg);
+    accel::KernelPipeline({&k}).run(cg);
     EXPECT_LT(accel::packed_max_rel_diff(ref, ath), 1e-10)
         << "nlev " << nlev;
   }
@@ -119,7 +122,8 @@ TEST(AccelRhsSweep, RejectsUnsupportedLevelCounts) {
   d.nlev = 12;  // not a multiple of 8
   d.qsize = 0;
   auto p = accel::PackedElems::synthetic(m, d, 4);
-  EXPECT_THROW(accel::rhs_athread(cg, p, cfg), std::invalid_argument);
+  accel::RhsKernel k(p, cfg);
+  EXPECT_THROW(accel::KernelPipeline({&k}).run(cg), std::invalid_argument);
 }
 
 TEST(AccelTable1Sweep, OrderingInvariantsAcrossConfigs) {
@@ -132,7 +136,8 @@ TEST(AccelTable1Sweep, OrderingInvariantsAcrossConfigs) {
     cfg.nlev = nlev;
     cfg.qsize = qsize;
     cfg.mesh_ne = 2;
-    auto rows = accel::run_table1(cfg);
+    sw::CoreGroup cg;
+    auto rows = accel::run_table1(cg, cfg);
     for (const auto& r : rows) {
       EXPECT_GT(r.mpe_s, r.intel_s) << r.name;
       EXPECT_LT(r.athread_s, r.acc_s) << r.name;

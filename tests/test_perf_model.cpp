@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace {
 
 using perf::MachineModel;
@@ -93,6 +95,59 @@ TEST(MachineModel, OverlapReducesStepTime) {
   const auto w2 = m.dycore_step(256, 65536, Version::kAthread, true);
   const auto wo2 = m.dycore_step(256, 65536, Version::kAthread, false);
   EXPECT_LE(w2.total_s, wo2.total_s * (1.0 + 1e-12));
+}
+
+/// Golden calibration at the paper configuration (nlev 128, 25 tracers,
+/// 32 elements) on a lone and a fully loaded processor. The simulator is
+/// deterministic, so every measured figure is pinned bit for bit: a change
+/// to which kernels make up a step, how each is priced, or the order the
+/// costs are summed in shows up here.
+struct CalibrateGolden {
+  int active_cgs;
+  perf::ElementCost cost[3];
+  std::vector<perf::ContentionPoint> curve;
+  double contention_slowdown;
+  double pflops_scale;
+};
+
+void expect_golden(const CalibrateGolden& g) {
+  const MachineModel m = MachineModel::calibrate(128, 25, 32, g.active_cgs);
+  for (int v = 0; v < 3; ++v) {
+    EXPECT_EQ(m.cost[v].seconds, g.cost[v].seconds) << "cost[" << v << "]";
+    EXPECT_EQ(m.cost[v].flops, g.cost[v].flops) << "cost[" << v << "]";
+  }
+  ASSERT_EQ(m.contention.size(), g.curve.size());
+  for (std::size_t i = 0; i < g.curve.size(); ++i) {
+    EXPECT_EQ(m.contention[i].active_cgs, g.curve[i].active_cgs);
+    EXPECT_EQ(m.contention[i].slowdown, g.curve[i].slowdown) << i;
+    EXPECT_EQ(m.contention[i].per_cg_gbytes_s, g.curve[i].per_cg_gbytes_s)
+        << i;
+  }
+  EXPECT_EQ(m.contention_slowdown, g.contention_slowdown);
+  EXPECT_EQ(m.pflops_scale, g.pflops_scale);
+}
+
+TEST(MachineModel, CalibrateGoldenOneCoreGroup) {
+  expect_golden({1,
+                 {{0x1.1bfe4ff4008fdp-8, 0x1.8cafcp+22},
+                  {0x1.7f0a251aabe1ap-10, 0x1.8cafcp+22},
+                  {0x1.fbb32b1acae64p-14, 0x1.8cafcp+22}},
+                 {{1, 0x1p+0, 0x1.5d2f4f3be4957p+4}},
+                 0x1p+0,
+                 0x1.a30bebb5d26acp-2});
+}
+
+TEST(MachineModel, CalibrateGoldenFourCoreGroups) {
+  expect_golden({4,
+                 {{0x1.240bc6b34879p-8, 0x1.8cafcp+22},
+                  {0x1.14f401cb76654p-9, 0x1.8cafcp+22},
+                  {0x1.737341edb2a6ep-13, 0x1.8cafcp+22}},
+                 {{1, 0x1p+0, 0x1.5d2f4f3be4957p+4},
+                  {2, 0x1.013f0cc163ddap+0, 0x1.5b7e3b9f2cb7ap+4},
+                  {3, 0x1.027e1982c7ba7p+0, 0x1.59d15513c1ee7p+4},
+                  {4, 0x1.0742439a89fd6p+0, 0x1.538e852e04f6fp+4}},
+                 0x1.0742439a89fd6p+0,
+                 0x1.3296a796efd1bp-1});
 }
 
 TEST(MachineModel, DynDtScalesInverselyWithResolution) {

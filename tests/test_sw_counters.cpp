@@ -162,8 +162,9 @@ TEST(Table1, ObsCounterPathMatchesKernelStats) {
   cfg.nlev = 16;
   cfg.qsize = 2;
   cfg.mesh_ne = 2;
+  sw::CoreGroup cg;
   std::vector<accel::Table1Row> rows;
-  ASSERT_NO_THROW(rows = accel::run_table1(cfg));
+  ASSERT_NO_THROW(rows = accel::run_table1(cg, cfg));
   ASSERT_EQ(rows.size(), 6u);
   for (const auto& r : rows) {
     EXPECT_GT(r.flops, 0u) << r.name;
@@ -181,7 +182,10 @@ TEST(Table1, ExternalTracerKeepsTimeline) {
   cfg.mesh_ne = 2;
   obs::Tracer tr(obs::ClockDomain::kVirtual);
   tr.enable();
-  (void)accel::run_table1(cfg, &tr);
+  sw::CoreGroup cg;
+  (void)accel::run_table1(cg, cfg, &tr);
+  // The group outlives the call and must not keep pointing at its tracer.
+  EXPECT_EQ(cg.tracer(), nullptr);
   const obs::Summary sum = tr.summary();
   // 6 kernels x (openacc + athread) = 12 launch spans.
   EXPECT_EQ(obs::phase_count(sum, "launch"), 12u);

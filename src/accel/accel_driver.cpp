@@ -43,15 +43,26 @@ PipelineAccelerator::PipelineAccelerator(const mesh::CubedSphere& m,
     : mesh_(m),
       dims_(d),
       geom_map_(std::move(geom_map)),
-      pool_(std::make_shared<sw::CgPool>(1)),
       cgs_{0} {}
 
 void PipelineAccelerator::use_core_groups(int n) {
-  pool_ = std::make_shared<sw::CgPool>(n);
+  if (n < 1) {
+    throw std::invalid_argument(
+        "PipelineAccelerator: core_groups must be >= 1, got " +
+        std::to_string(n));
+  }
+  pool_.reset();
   cgs_.resize(static_cast<std::size_t>(n));
   std::iota(cgs_.begin(), cgs_.end(), 0);
   owns_pool_ = true;
-  forward_tracer();
+}
+
+sw::CgPool& PipelineAccelerator::ensure_pool() {
+  if (pool_ == nullptr) {
+    pool_ = std::make_shared<sw::CgPool>(static_cast<int>(cgs_.size()));
+    forward_tracer();
+  }
+  return *pool_;
 }
 
 void PipelineAccelerator::set_cg_pool(std::shared_ptr<sw::CgPool> pool,
@@ -75,7 +86,9 @@ void PipelineAccelerator::set_cg_pool(std::shared_ptr<sw::CgPool> pool,
 }
 
 void PipelineAccelerator::forward_tracer() {
-  if (owns_pool_) pool_->set_tracer(tracer_, trace_pid_, track_name_);
+  if (owns_pool_ && pool_ != nullptr) {
+    pool_->set_tracer(tracer_, trace_pid_, track_name_);
+  }
 }
 
 void PipelineAccelerator::set_tracer(obs::Tracer* t,
@@ -93,6 +106,7 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
   std::iota(state_elems.begin(), state_elems.end(), 0);
   const std::vector<int>& geom_elems =
       geom_map_.empty() ? state_elems : geom_map_;
+  sw::CgPool& pool = ensure_pool();
   ++launches_;
   obs::ScopedSpan remap_span(trk_, "accel:vertical_remap");
   const int nshards =
@@ -126,7 +140,7 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
     std::vector<sw::MemoryContention::StreamGuard> streams;
     streams.reserve(static_cast<std::size_t>(nshards));
     for (int si = 0; si < nshards; ++si) {
-      streams.emplace_back(pool_->contention());
+      streams.emplace_back(pool.contention());
     }
 
     // Each shard runs on its own core group under that group's lock, on
@@ -137,8 +151,8 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
     std::vector<sw::KernelStats> shard_stats(static_cast<std::size_t>(nshards));
     auto run_shard = [&](std::size_t si) {
       const int cgi = cgs_[si];
-      sw::CoreGroup& cg = pool_->group(cgi);
-      auto lk = pool_->lock(cgi);
+      sw::CoreGroup& cg = pool.group(cgi);
+      auto lk = pool.lock(cgi);
       cg.set_fault_plan(faults_);
       PlanGuard plan_guard{cg};
       RemapKernel k(packs[si]);

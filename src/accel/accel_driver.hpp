@@ -30,7 +30,9 @@ namespace accel {
 ///
 /// By default the accelerator owns a private 1-CG pool, exactly the
 /// historical single-core-group behavior. use_core_groups(n) widens the
-/// private pool; set_cg_pool() instead binds to an externally owned
+/// private pool. A private pool is built on its first use (a launch or
+/// cg_pool()), so an accelerator bound elsewhere before then never pays
+/// for one. set_cg_pool() instead binds to an externally owned
 /// sw::CgPool (svc::Engine placement, one processor shared by several
 /// members) with an explicit CG-affinity list. Either way every remap
 /// shards its elements contiguously across the assigned groups — the
@@ -62,7 +64,11 @@ class PipelineAccelerator final : public homme::StepAccelerator {
   /// other accelerators sharing the processor; DMA streams of all
   /// tenants contend on the pool's shared memory controller.
   void set_cg_pool(std::shared_ptr<sw::CgPool> pool, std::vector<int> cgs);
-  const std::shared_ptr<sw::CgPool>& cg_pool() const { return pool_; }
+  /// The bound pool; builds the private pool if no launch has yet.
+  const std::shared_ptr<sw::CgPool>& cg_pool() {
+    ensure_pool();
+    return pool_;
+  }
   const std::vector<int>& cg_affinity() const { return cgs_; }
   int core_groups() const { return static_cast<int>(cgs_.size()); }
 
@@ -98,11 +104,12 @@ class PipelineAccelerator final : public homme::StepAccelerator {
  private:
   void degrade(homme::State& s, const std::string& why);
   void forward_tracer();
+  sw::CgPool& ensure_pool();
 
   const mesh::CubedSphere& mesh_;
   homme::Dims dims_;
   std::vector<int> geom_map_;
-  std::shared_ptr<sw::CgPool> pool_;
+  std::shared_ptr<sw::CgPool> pool_;  ///< null until a private pool's first use
   std::vector<int> cgs_;
   bool owns_pool_ = true;
   sw::FaultPlan* faults_ = nullptr;

@@ -17,28 +17,66 @@ using mesh::kNpp;
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+/// Slicing-by-8 tables: kCrcTables[0] is the bytewise table, and
+/// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so
+/// eight table lookups fold eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int b = 0; b < 8; ++b) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
   }
   return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Bytes p[0..3] as a little-endian word, whatever the host byte order
+/// (compilers fold this to one load on little-endian targets).
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const CrcTables& t = kCrcTables;
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint32_t> chunk_crcs(const State& s) {
+  std::vector<std::uint32_t> crcs;
+  crcs.reserve(s.size() * kChunksPerElement);
+  for (std::size_t id = 0; id < s.size() * kChunksPerElement; ++id) {
+    const Chunk& c = state_chunk(s, id);
+    crcs.push_back(crc32(c.data(), c.size_bytes()));
+  }
+  return crcs;
 }
 
 // ---------------------------------------------------------------------------
@@ -51,18 +89,116 @@ constexpr std::uint32_t kFlagLimitTracers = 1u << 0;
 constexpr std::uint32_t kFlagHypervisOn = 1u << 1;
 constexpr std::uint32_t kFlagMoist = 1u << 2;
 
+/// A record's count and CRC around its payload (see put_record).
+constexpr std::size_t kRecordBytes =
+    sizeof(std::uint64_t) + sizeof(std::uint32_t);
+
 template <typename T>
 void put(std::vector<std::uint8_t>& out, T v) {
   const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
   out.insert(out.end(), p, p + sizeof(T));
 }
 
-void put_payload(std::vector<std::uint8_t>& out, std::span<const double> field) {
-  put<std::uint64_t>(out, field.size());
-  const auto* p = reinterpret_cast<const std::uint8_t*>(field.data());
-  const std::size_t bytes = field.size() * sizeof(double);
-  out.insert(out.end(), p, p + bytes);
-  put<std::uint32_t>(out, crc32(p, bytes));
+void put_info(std::vector<std::uint8_t>& out, const CheckpointInfo& info) {
+  std::uint32_t flags = 0;
+  if (info.config.limit_tracers) flags |= kFlagLimitTracers;
+  if (info.config.hypervis_on) flags |= kFlagHypervisOn;
+  if (info.dims.moist) flags |= kFlagMoist;
+  put<std::uint64_t>(out, info.nelem);
+  put<std::int32_t>(out, info.dims.nlev);
+  put<std::int32_t>(out, info.dims.qsize);
+  put<std::uint32_t>(out, flags);
+  put<std::int32_t>(out, info.config.remap_freq);
+  put<std::int64_t>(out, info.step_count);
+  put<std::uint64_t>(out, info.rng_seed);
+  put<double>(out, info.config.dt);
+  put<double>(out, info.config.nu);
+}
+
+/// One (count, doubles, CRC) record; \p crc is the chunk's CRC, already
+/// computed by the caller's dirty scan or chunk_crcs().
+void put_record(std::vector<std::uint8_t>& out, const Chunk& c,
+                std::uint32_t crc) {
+  put<std::uint64_t>(out, c.size());
+  const auto* p = reinterpret_cast<const std::uint8_t*>(c.data());
+  out.insert(out.end(), p, p + c.size_bytes());
+  put<std::uint32_t>(out, crc);
+}
+
+void check_nelem(const CheckpointInfo& info, const State& s,
+                 const char* what) {
+  if (info.nelem != s.size()) {
+    throw CheckpointError(std::string(what) + ": info.nelem (" +
+                          std::to_string(info.nelem) + ") != state size (" +
+                          std::to_string(s.size()) + ")");
+  }
+}
+
+/// The SWCK image of \p s, built in \p out (cleared and reserved to the
+/// exact size), each record's CRC taken from \p crcs (= chunk_crcs(s)).
+void build_full_image(std::vector<std::uint8_t>& out,
+                      const CheckpointInfo& info, const State& s,
+                      std::span<const std::uint32_t> crcs) {
+  check_nelem(info, s, "checkpoint");
+  std::size_t record_bytes = 0;
+  for (std::size_t id = 0; id < crcs.size(); ++id) {
+    record_bytes += kRecordBytes + state_chunk(s, id).size_bytes();
+  }
+  out.clear();
+  put<std::uint32_t>(out, kCheckpointMagic);
+  put<std::uint32_t>(out, kCheckpointVersion);
+  put_info(out, info);
+  put<std::uint32_t>(out, crc32(out.data(), out.size()));
+  out.reserve(out.size() + record_bytes);
+  for (std::size_t id = 0; id < crcs.size(); ++id) {
+    put_record(out, state_chunk(s, id), crcs[id]);
+  }
+}
+
+/// The SWDK record of the chunks of \p s whose CRC differs from \p crcs,
+/// built in \p out (cleared and reserved to the exact size). Each chunk
+/// is hashed once: the dirty scan's CRC updates \p crcs and is the
+/// record's payload CRC. Returns the record count.
+std::uint64_t build_delta_image(std::vector<std::uint8_t>& out,
+                                const CheckpointInfo& info, const State& s,
+                                std::uint64_t base_seq, std::uint64_t seq,
+                                std::vector<std::uint32_t>& crcs) {
+  check_nelem(info, s, "delta checkpoint");
+  const std::size_t nchunks = s.size() * kChunksPerElement;
+  if (crcs.size() != nchunks) {
+    throw CheckpointError(
+        "delta checkpoint: CRC cache has " + std::to_string(crcs.size()) +
+        " entries, state has " + std::to_string(nchunks) + " chunks");
+  }
+
+  // Find the dirty set first (record count goes into the header).
+  std::vector<std::uint64_t> dirty;
+  std::size_t record_bytes = 0;
+  for (std::size_t id = 0; id < nchunks; ++id) {
+    const Chunk& c = state_chunk(s, id);
+    const std::uint32_t crc = crc32(c.data(), c.size_bytes());
+    if (crc != crcs[id]) {
+      dirty.push_back(id);
+      crcs[id] = crc;
+      record_bytes += sizeof(std::uint64_t) + kRecordBytes + c.size_bytes();
+    }
+  }
+
+  out.clear();
+  put<std::uint32_t>(out, kDeltaMagic);
+  put<std::uint32_t>(out, kDeltaVersion);
+  put<std::uint64_t>(out, base_seq);
+  put<std::uint64_t>(out, seq);
+  put_info(out, info);
+  put<std::uint64_t>(out, dirty.size());
+  put<std::uint32_t>(out, crc32(out.data(), out.size()));
+  out.reserve(out.size() + record_bytes);
+  for (const std::uint64_t id : dirty) {
+    put<std::uint64_t>(out, id);
+    put_record(out, state_chunk(s, static_cast<std::size_t>(id)),
+               crcs[static_cast<std::size_t>(id)]);
+  }
+  return dirty.size();
 }
 
 struct Reader {
@@ -92,6 +228,24 @@ struct Reader {
     return p;
   }
 };
+
+/// Inverse of put_info.
+CheckpointInfo get_info(Reader& r) {
+  CheckpointInfo info;
+  info.nelem = r.get<std::uint64_t>();
+  info.dims.nlev = r.get<std::int32_t>();
+  info.dims.qsize = r.get<std::int32_t>();
+  const auto flags = r.get<std::uint32_t>();
+  info.config.remap_freq = r.get<std::int32_t>();
+  info.step_count = r.get<std::int64_t>();
+  info.rng_seed = r.get<std::uint64_t>();
+  info.config.dt = r.get<double>();
+  info.config.nu = r.get<double>();
+  info.config.limit_tracers = (flags & kFlagLimitTracers) != 0;
+  info.config.hypervis_on = (flags & kFlagHypervisOn) != 0;
+  info.dims.moist = (flags & kFlagMoist) != 0;
+  return info;
+}
 
 void get_payload(Reader& r, Chunk& field, std::size_t expected,
                  const char* name, std::size_t elem) {
@@ -126,42 +280,25 @@ void write_file(const std::string& path,
   if (!f) throw CheckpointError("checkpoint: short write to " + path);
 }
 
+/// Read the file at \p path into \p image (reusing its storage); false
+/// when the file cannot be opened.
+bool read_file(const std::string& path, std::vector<std::uint8_t>& image) {
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  if (!f) return false;
+  const std::streamsize n = f.tellg();
+  f.seekg(0);
+  image.resize(static_cast<std::size_t>(n));
+  f.read(reinterpret_cast<char*>(image.data()), n);
+  if (!f) throw CheckpointError("checkpoint: short read from " + path);
+  return true;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> serialize_checkpoint(const CheckpointInfo& info,
                                                const State& s) {
-  if (info.nelem != s.size()) {
-    throw CheckpointError("checkpoint: info.nelem (" +
-                          std::to_string(info.nelem) + ") != state size (" +
-                          std::to_string(s.size()) + ")");
-  }
-  std::uint32_t flags = 0;
-  if (info.config.limit_tracers) flags |= kFlagLimitTracers;
-  if (info.config.hypervis_on) flags |= kFlagHypervisOn;
-  if (info.dims.moist) flags |= kFlagMoist;
-
   std::vector<std::uint8_t> out;
-  put<std::uint32_t>(out, kCheckpointMagic);
-  put<std::uint32_t>(out, kCheckpointVersion);
-  put<std::uint64_t>(out, info.nelem);
-  put<std::int32_t>(out, info.dims.nlev);
-  put<std::int32_t>(out, info.dims.qsize);
-  put<std::uint32_t>(out, flags);
-  put<std::int32_t>(out, info.config.remap_freq);
-  put<std::int64_t>(out, info.step_count);
-  put<std::uint64_t>(out, info.rng_seed);
-  put<double>(out, info.config.dt);
-  put<double>(out, info.config.nu);
-  put<std::uint32_t>(out, crc32(out.data(), out.size()));
-
-  for (const ElementState& es : s) {
-    put_payload(out, es.u1.span());
-    put_payload(out, es.u2.span());
-    put_payload(out, es.T.span());
-    put_payload(out, es.dp.span());
-    put_payload(out, es.qdp.span());
-    put_payload(out, es.phis.span());
-  }
+  build_full_image(out, info, s, chunk_crcs(s));
   return out;
 }
 
@@ -179,20 +316,7 @@ CheckpointInfo deserialize_checkpoint(std::span<const std::uint8_t> image,
                           std::to_string(kCheckpointVersion) + ")");
   }
 
-  CheckpointInfo info;
-  info.nelem = r.get<std::uint64_t>();
-  info.dims.nlev = r.get<std::int32_t>();
-  info.dims.qsize = r.get<std::int32_t>();
-  const auto flags = r.get<std::uint32_t>();
-  info.config.remap_freq = r.get<std::int32_t>();
-  info.step_count = r.get<std::int64_t>();
-  info.rng_seed = r.get<std::uint64_t>();
-  info.config.dt = r.get<double>();
-  info.config.nu = r.get<double>();
-  info.config.limit_tracers = (flags & kFlagLimitTracers) != 0;
-  info.config.hypervis_on = (flags & kFlagHypervisOn) != 0;
-  info.dims.moist = (flags & kFlagMoist) != 0;
-
+  const CheckpointInfo info = get_info(r);
   const std::uint32_t stored_crc = r.get<std::uint32_t>();
   const std::uint32_t actual_crc =
       crc32(image.data(), r.pos - sizeof(std::uint32_t));
@@ -249,13 +373,10 @@ void save_checkpoint(const std::string& path, const CheckpointInfo& info,
 }
 
 CheckpointInfo load_checkpoint(const std::string& path, State& s) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  if (!f) throw CheckpointError("checkpoint: cannot open " + path);
-  const std::streamsize n = f.tellg();
-  f.seekg(0);
-  std::vector<std::uint8_t> image(static_cast<std::size_t>(n));
-  f.read(reinterpret_cast<char*>(image.data()), n);
-  if (!f) throw CheckpointError("checkpoint: short read from " + path);
+  std::vector<std::uint8_t> image;
+  if (!read_file(path, image)) {
+    throw CheckpointError("checkpoint: cannot open " + path);
+  }
   return deserialize_checkpoint(image, s);
 }
 
@@ -296,70 +417,13 @@ std::size_t chunk_expected_size(std::size_t id, const Dims& d) {
 
 }  // namespace
 
-std::vector<std::uint32_t> chunk_crcs(const State& s) {
-  std::vector<std::uint32_t> crcs;
-  crcs.reserve(s.size() * kChunksPerElement);
-  for (std::size_t id = 0; id < s.size() * kChunksPerElement; ++id) {
-    const Chunk& c = state_chunk(s, id);
-    crcs.push_back(crc32(c.data(), c.size_bytes()));
-  }
-  return crcs;
-}
-
 std::vector<std::uint8_t> serialize_delta_checkpoint(
     const CheckpointInfo& info, const State& s, std::uint64_t base_seq,
     std::uint64_t seq, std::vector<std::uint32_t>& crcs,
     std::uint64_t* chunks_written) {
-  if (info.nelem != s.size()) {
-    throw CheckpointError("delta checkpoint: info.nelem (" +
-                          std::to_string(info.nelem) + ") != state size (" +
-                          std::to_string(s.size()) + ")");
-  }
-  const std::size_t nchunks = s.size() * kChunksPerElement;
-  if (crcs.size() != nchunks) {
-    throw CheckpointError(
-        "delta checkpoint: CRC cache has " + std::to_string(crcs.size()) +
-        " entries, state has " + std::to_string(nchunks) + " chunks");
-  }
-
-  // Find the dirty set first (record count goes into the header).
-  std::vector<std::uint64_t> dirty;
-  for (std::size_t id = 0; id < nchunks; ++id) {
-    const Chunk& c = state_chunk(s, id);
-    const std::uint32_t crc = crc32(c.data(), c.size_bytes());
-    if (crc != crcs[id]) {
-      dirty.push_back(id);
-      crcs[id] = crc;
-    }
-  }
-
-  std::uint32_t flags = 0;
-  if (info.config.limit_tracers) flags |= kFlagLimitTracers;
-  if (info.config.hypervis_on) flags |= kFlagHypervisOn;
-  if (info.dims.moist) flags |= kFlagMoist;
-
   std::vector<std::uint8_t> out;
-  put<std::uint32_t>(out, kDeltaMagic);
-  put<std::uint32_t>(out, kDeltaVersion);
-  put<std::uint64_t>(out, base_seq);
-  put<std::uint64_t>(out, seq);
-  put<std::uint64_t>(out, info.nelem);
-  put<std::int32_t>(out, info.dims.nlev);
-  put<std::int32_t>(out, info.dims.qsize);
-  put<std::uint32_t>(out, flags);
-  put<std::int32_t>(out, info.config.remap_freq);
-  put<std::int64_t>(out, info.step_count);
-  put<std::uint64_t>(out, info.rng_seed);
-  put<double>(out, info.config.dt);
-  put<double>(out, info.config.nu);
-  put<std::uint64_t>(out, dirty.size());
-  put<std::uint32_t>(out, crc32(out.data(), out.size()));
-
-  for (const std::uint64_t id : dirty) {
-    put<std::uint64_t>(out, id);
-    put_payload(out, state_chunk(s, static_cast<std::size_t>(id)).span());
-  }
-  if (chunks_written != nullptr) *chunks_written = dirty.size();
+  const std::uint64_t n = build_delta_image(out, info, s, base_seq, seq, crcs);
+  if (chunks_written != nullptr) *chunks_written = n;
   return out;
 }
 
@@ -380,20 +444,9 @@ DeltaInfo apply_delta_checkpoint(std::span<const std::uint8_t> image,
   DeltaInfo di;
   di.base_seq = r.get<std::uint64_t>();
   di.seq = r.get<std::uint64_t>();
-  CheckpointInfo& info = di.info;
-  info.nelem = r.get<std::uint64_t>();
-  info.dims.nlev = r.get<std::int32_t>();
-  info.dims.qsize = r.get<std::int32_t>();
-  const auto flags = r.get<std::uint32_t>();
-  info.config.remap_freq = r.get<std::int32_t>();
-  info.step_count = r.get<std::int64_t>();
-  info.rng_seed = r.get<std::uint64_t>();
-  info.config.dt = r.get<double>();
-  info.config.nu = r.get<double>();
+  di.info = get_info(r);
+  const CheckpointInfo& info = di.info;
   const auto nrecords = r.get<std::uint64_t>();
-  info.config.limit_tracers = (flags & kFlagLimitTracers) != 0;
-  info.config.hypervis_on = (flags & kFlagHypervisOn) != 0;
-  info.dims.moist = (flags & kFlagMoist) != 0;
 
   const std::uint32_t stored_crc = r.get<std::uint32_t>();
   const std::uint32_t actual_crc =
@@ -453,21 +506,22 @@ DeltaCheckpointWriter::SaveRecord DeltaCheckpointWriter::save(
     // deltas — a consistent (if older) restore point.
     for (int k = 1; std::remove(delta_path(base_, k).c_str()) == 0; ++k) {
     }
-    const std::vector<std::uint8_t> image = serialize_checkpoint(info, s);
-    write_file(full_path(base_), image);
-    prev_crcs_ = chunk_crcs(s);
+    // One CRC pass: the records' CRCs are the next delta's baseline.
+    std::vector<std::uint32_t> crcs = chunk_crcs(s);
+    build_full_image(image_, info, s, crcs);
+    write_file(full_path(base_), image_);
+    prev_crcs_ = std::move(crcs);
     base_seq_ = rec.seq;
     delta_index_ = 0;
     rec.full = true;
-    rec.bytes = image.size();
+    rec.bytes = image_.size();
     rec.chunks_written = nchunks;
     ++totals_.fulls;
   } else {
-    std::uint64_t cw = 0;
-    const std::vector<std::uint8_t> image = serialize_delta_checkpoint(
-        info, s, base_seq_, rec.seq, prev_crcs_, &cw);
-    write_file(delta_path(base_, ++delta_index_), image);
-    rec.bytes = image.size();
+    const std::uint64_t cw =
+        build_delta_image(image_, info, s, base_seq_, rec.seq, prev_crcs_);
+    write_file(delta_path(base_, ++delta_index_), image_);
+    rec.bytes = image_.size();
     rec.chunks_written = static_cast<std::size_t>(cw);
     ++totals_.deltas;
   }
@@ -483,15 +537,10 @@ CheckpointInfo DeltaCheckpointWriter::restore_chain(const std::string& base,
   CheckpointInfo info = load_checkpoint(full_path(base), s);
   std::uint64_t chain_base = 0;
   std::uint64_t prev_seq = 0;
+  std::vector<std::uint8_t> image;  // reused by every record of the chain
   for (int k = 1;; ++k) {
     const std::string path = delta_path(base, k);
-    std::ifstream f(path, std::ios::binary | std::ios::ate);
-    if (!f) break;
-    const std::streamsize n = f.tellg();
-    f.seekg(0);
-    std::vector<std::uint8_t> image(static_cast<std::size_t>(n));
-    f.read(reinterpret_cast<char*>(image.data()), n);
-    if (!f) throw CheckpointError("checkpoint: short read from " + path);
+    if (!read_file(path, image)) break;
 
     const DeltaInfo di = apply_delta_checkpoint(image, s);
     if (!same_run(di.info, info)) {

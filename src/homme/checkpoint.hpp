@@ -80,7 +80,9 @@ struct CheckpointInfo {
   std::uint64_t rng_seed = 0;  ///< caller-defined (e.g. fault-plan seed)
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of \p n bytes.
+/// CRC-32 (IEEE 802.3, the reflected zlib/PNG polynomial) of \p n bytes,
+/// eight bytes per step (slicing-by-8); the result does not depend on
+/// the host byte order or on the alignment of \p data.
 std::uint32_t crc32(const void* data, std::size_t n);
 
 /// Serialize \p info + \p s into a self-validating byte image.
@@ -131,7 +133,10 @@ DeltaInfo apply_delta_checkpoint(std::span<const std::uint8_t> image,
 /// Synchronous delta-chain writer: a full SWCK image every
 /// \p full_interval saves ("<base>.full"), dirty-chunk SWDK records
 /// between ("<base>.d1", ".d2", ...). full_interval <= 1 means every save
-/// is a full image.
+/// is a full image. A save hashes each chunk once: a full image's record
+/// CRCs become the next delta's dirty baseline, and a delta's dirty-scan
+/// CRC is its record's payload CRC. Every image is built in one buffer
+/// kept across saves and reserved to the image's exact size.
 class DeltaCheckpointWriter {
  public:
   DeltaCheckpointWriter(std::string base, int full_interval)
@@ -170,6 +175,7 @@ class DeltaCheckpointWriter {
   std::uint64_t base_seq_ = 0;  ///< seq of the chain's full image
   int delta_index_ = 0;         ///< deltas written since the last full
   std::vector<std::uint32_t> prev_crcs_;
+  std::vector<std::uint8_t> image_;  ///< every save's image, storage reused
   Totals totals_;
 };
 

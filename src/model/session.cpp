@@ -1,7 +1,6 @@
 #include "model/session.hpp"
 
 #include <cstdio>
-#include <span>
 #include <utility>
 
 #include "accel/accel_driver.hpp"
@@ -105,19 +104,7 @@ void SessionConfig::validate() const {
 // -- state digest ------------------------------------------------------------
 
 std::uint32_t state_digest(const homme::State& state, int step_count) {
-  std::vector<std::uint32_t> crcs;
-  crcs.reserve(state.size() * 6 + 2);
-  auto add = [&crcs](std::span<const double> v) {
-    crcs.push_back(homme::crc32(v.data(), v.size() * sizeof(double)));
-  };
-  for (const auto& e : state) {
-    add(e.u1.span());
-    add(e.u2.span());
-    add(e.T.span());
-    add(e.dp.span());
-    add(e.qdp.span());
-    add(e.phis.span());
-  }
+  std::vector<std::uint32_t> crcs = homme::chunk_crcs(state);
   crcs.push_back(static_cast<std::uint32_t>(state.size()));
   crcs.push_back(static_cast<std::uint32_t>(step_count));
   return homme::crc32(crcs.data(), crcs.size() * sizeof(std::uint32_t));

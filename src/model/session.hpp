@@ -204,7 +204,8 @@ struct SessionConfig {
 /// CRC32 digest of a model state — the bit-identity handle shared by the
 /// svc:: engine, the scenario:: experiment runners and the tests: equal
 /// configs must yield equal digests at any worker count. Hashes the raw
-/// field arrays, NOT a serialized checkpoint image: that format follows
+/// field arrays' per-chunk CRCs (homme::chunk_crcs) with the element
+/// count and step, NOT a serialized checkpoint image: that format follows
 /// every block with the block's own CRC-32, and by CRC linearity a
 /// whole-stream CRC over block||crc(block) pairs cancels the block
 /// contents entirely (every image of one shape would hash alike).

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -177,6 +178,31 @@ TEST(PipelineAccelerator, RemapMatchesHostRemap) {
   EXPECT_LT(state_max_rel_diff(host, offload), 1e-9);
   EXPECT_EQ(pa.launches(), 1);
   EXPECT_GT(pa.last_stats().totals.total_dma_bytes(), 0u);
+}
+
+// The private pool is built on first use, so cg_pool() always names the
+// pool the next launch runs on: the bound one, or a private pool of
+// core_groups() groups.
+TEST(PipelineAccelerator, CgPoolNamesThePoolLaunchesRunOn) {
+  homme::Dims d;
+  d.nlev = 4;
+  auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+
+  accel::PipelineAccelerator one(mesh, d);
+  EXPECT_EQ(one.cg_pool()->size(), 1);
+  EXPECT_EQ(one.cg_affinity(), std::vector<int>{0});
+
+  accel::PipelineAccelerator wide(mesh, d);
+  wide.use_core_groups(3);
+  EXPECT_EQ(wide.cg_pool()->size(), 3);
+  EXPECT_EQ(wide.cg_affinity(), (std::vector<int>{0, 1, 2}));
+  EXPECT_THROW(wide.use_core_groups(0), std::invalid_argument);
+
+  auto shared = std::make_shared<sw::CgPool>(2);
+  accel::PipelineAccelerator bound(mesh, d);
+  bound.set_cg_pool(shared, {1});
+  EXPECT_EQ(bound.cg_pool(), shared);
+  EXPECT_EQ(bound.cg_affinity(), std::vector<int>{1});
 }
 
 TEST(PipelineAccelerator, AttachedDycoreTracksHostDycore) {

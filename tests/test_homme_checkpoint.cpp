@@ -176,6 +176,73 @@ TEST(Checkpoint, FileRoundTrip) {
   EXPECT_THROW(load_checkpoint(path + ".missing", restored), CheckpointError);
 }
 
+/// The bytewise CRC-32 (reflected 0xEDB88320), bit by bit: the oracle
+/// the table-driven crc32 must match.
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int b = 0; b < 8; ++b) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesTheStandardCheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(homme::crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(homme::crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, MatchesTheBytewiseOracleAtEveryLengthAndOffset) {
+  // Every length 0-257 from every start offset 0-7: unaligned heads,
+  // whole 8-byte steps and every tail length.
+  std::vector<std::uint8_t> buf(257 + 8);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 167 + 13);
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; n <= 257; ++n) {
+      ASSERT_EQ(homme::crc32(buf.data() + off, n),
+                crc32_bytewise(buf.data() + off, n))
+          << "offset " << off << ", length " << n;
+    }
+  }
+}
+
+/// The images of one fixed state; their CRCs are pinned below.
+struct PinnedImages {
+  std::vector<std::uint8_t> full, delta;
+  std::uint64_t delta_records = 0;
+};
+
+PinnedImages pinned_images() {
+  const Dims d = small_dims();
+  auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  State s = homme::baroclinic(mesh, d);
+  homme::init_tracers(mesh, d, s);
+  PinnedImages img;
+  img.full = serialize_checkpoint(make_info(d, s), s);
+  std::vector<std::uint32_t> crcs = homme::chunk_crcs(s);
+  s[1].T.mutable_span()[0] += 0.5;
+  s[3].dp.mutable_span()[2] *= 1.001;
+  img.delta = homme::serialize_delta_checkpoint(make_info(d, s), s, 0, 1,
+                                                crcs, &img.delta_records);
+  return img;
+}
+
+// The on-disk format is frozen: a faster CRC or serializer must write
+// these exact bytes. Recorded with the bytewise-CRC serializer.
+TEST(Checkpoint, ImagesOfAFixedStateAreBitIdenticalToTheRecordedOnes) {
+  const PinnedImages img = pinned_images();
+  EXPECT_EQ(img.full.size(), 78596u);
+  EXPECT_EQ(homme::crc32(img.full.data(), img.full.size()), 0x23AD7A39u);
+  EXPECT_EQ(img.delta_records, 2u);
+  EXPECT_EQ(img.delta.size(), 1156u);
+  EXPECT_EQ(homme::crc32(img.delta.data(), img.delta.size()), 0x57CD3DEBu);
+}
+
 // ---------------------------------------------------------------------------
 // Delta checkpoints
 // ---------------------------------------------------------------------------
@@ -217,6 +284,35 @@ TEST(DeltaCheckpoint, CarriesOnlyDirtyChunksAndRoundTrips) {
       make_info(d, s), s, 0, 2, crcs, &written);
   EXPECT_EQ(written, 0u);
   EXPECT_LT(empty_delta.size(), 128u);
+}
+
+// The writer hashes each chunk once per save: a full save's record CRCs
+// are the next delta's baseline, so an unchanged state writes no record
+// and one dirtied chunk writes exactly one.
+TEST(DeltaCheckpoint, WriterFullSaveIsTheDeltaBaseline) {
+  const Dims d = small_dims();
+  auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  State s = homme::baroclinic(mesh, d);
+  homme::init_tracers(mesh, d, s);
+
+  const std::string base = ::testing::TempDir() + "swdk_baseline.ck";
+  homme::DeltaCheckpointWriter writer(base, /*full_interval=*/4);
+  const CheckpointInfo info = make_info(d, s);
+  ASSERT_TRUE(writer.save(info, s).full);
+
+  const auto unchanged = writer.save(info, s);
+  EXPECT_FALSE(unchanged.full);
+  EXPECT_EQ(unchanged.chunks_written, 0u);
+
+  s[2].u2.mutable_span()[1] += 1.0;
+  const auto one = writer.save(info, s);
+  EXPECT_FALSE(one.full);
+  EXPECT_EQ(one.chunks_written, 1u);
+
+  State restored;
+  homme::DeltaCheckpointWriter::restore_chain(base, restored);
+  EXPECT_TRUE(states_bitwise_equal(restored, s));
+  remove_chain(base);
 }
 
 TEST(DeltaCheckpoint, WriterChainRestoresNewestSaveBitIdentically) {

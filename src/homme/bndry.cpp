@@ -157,15 +157,15 @@ void BndryExchange::dss_levels(net::Rank& r, std::span<double* const> fields,
       r.recv(nb.rank, tag, nb.recv);
       // Original data flow: recv buffer -> pack buffer -> elements. The
       // extra staging pass is modeled by a real copy.
-      std::vector<double> staged(nb.recv);
-      last_copy_bytes_ += 2 * staged.size() * sizeof(double);
+      staged_.assign(nb.recv.begin(), nb.recv.end());
+      last_copy_bytes_ += 2 * staged_.size() * sizeof(double);
       for (std::size_t i = 0; i < nb.local_nodes.size(); ++i) {
         for (int lev = 0; lev < nlev; ++lev) {
           node_acc_[static_cast<std::size_t>(nb.local_nodes[i]) *
                         static_cast<std::size_t>(nlev) +
                     static_cast<std::size_t>(lev)] +=
-              staged[i * static_cast<std::size_t>(nlev) +
-                     static_cast<std::size_t>(lev)];
+              staged_[i * static_cast<std::size_t>(nlev) +
+                      static_cast<std::size_t>(lev)];
         }
       }
     }
@@ -180,12 +180,11 @@ void BndryExchange::dss_levels(net::Rank& r, std::span<double* const> fields,
       obs::ScopedSpan span(trk_, "bndry:pack");
       for (auto& nb : neighbors_) pack_neighbor(nb);
     }
-    std::vector<net::Request> sends;
-    sends.reserve(neighbors_.size());
+    sends_.clear();
     {
       obs::ScopedSpan span(trk_, "bndry:post_send");
       for (auto& nb : neighbors_) {
-        sends.push_back(r.isend(nb.rank, tag, nb.send));
+        sends_.push_back(r.isend(nb.rank, tag, nb.send));
         last_msg_bytes_ += nb.send.size() * sizeof(double);
       }
     }
@@ -209,7 +208,7 @@ void BndryExchange::dss_levels(net::Rank& r, std::span<double* const> fields,
         }
       }
     }
-    r.wait_all(sends);
+    r.wait_all(sends_);
   }
 
   {

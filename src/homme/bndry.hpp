@@ -104,6 +104,9 @@ class BndryExchange {
   std::vector<double> node_acc_;      ///< [local node][lev]
   std::vector<double> node_rmass_;    ///< 1 / globally assembled mass
   std::vector<NeighborBuf> neighbors_;
+  // Reused across calls, so a DSS allocates only while buffers grow.
+  std::vector<double> staged_;        ///< kOriginal's staging copy
+  std::vector<net::Request> sends_;  ///< kOverlap's posted sends
   std::vector<std::array<int, mesh::kNpp>> local_node_of_elem_;
   std::vector<bool> elem_is_boundary_;
 

@@ -135,8 +135,7 @@ void Dycore::step(State& s) {
 
   if (cfg_.hypervis_on) {
     obs::ScopedSpan span(trk_, "dyn:hypervis");
-    hypervis_dp2(*ex_, dims_, s, cfg_.nu, dt);
-    biharmonic_dp3d(*ex_, dims_, s, cfg_.nu, dt);
+    hyperviscosity(*ex_, dims_, s, cfg_.nu, dt);
   }
 
   ++step_count_;

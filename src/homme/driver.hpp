@@ -14,7 +14,8 @@
 ///   1. SSP-RK3 integration of the primitive equations
 ///      (three compute_and_apply_rhs evaluations, each ending in DSS),
 ///   2. an euler_step tracer subcycle,
-///   3. nabla^4 hyperviscosity (hypervis_dp2 + biharmonic_dp3d),
+///   3. nabla^4 hyperviscosity (hypervis_dp2 + biharmonic_dp3d, one
+///      batched sweep: homme::hyperviscosity),
 ///   4. every remap_freq steps, vertical_remap back to reference levels.
 /// This is the structure the paper's timers break into the six Table 1
 /// kernels.

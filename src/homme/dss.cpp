@@ -41,49 +41,52 @@ void dss_level(const mesh::CubedSphere& m, std::span<double* const> f,
   }
 }
 
+/// An \p n-double node accumulator carved from the running thread's
+/// \p arena, inside the item's frame. A pool worker's arena is empty
+/// between items and may grow here; the thread that posted the loop runs
+/// items on top of its own live frames, which Exchange::dss_scratch()
+/// covers.
+double* thread_acc(ScratchArena& arena, std::size_t n) {
+  if (arena.capacity() < arena.used() + n) arena.require(arena.used() + n);
+  return arena.alloc(n).data();
+}
+
 }  // namespace
 
 // Levels never mix in a DSS, so both entry points run one level per pool
-// item, with a level-major node accumulator (acc[lev * nnodes + node]).
+// item, each with a node accumulator from the arena of the thread that
+// runs it: scratch grows with the thread count, not the level count.
 // Each (node, lev) sum still adds its terms in the element order of a
 // serial sweep, so the result is bit-identical at any thread count.
 
 void dss_levels(const mesh::CubedSphere& m,
                 std::span<double* const> elem_fields, int nlev) {
   const std::size_t nnodes = static_cast<std::size_t>(m.nnodes());
-  const std::size_t acc_n = nnodes * static_cast<std::size_t>(nlev);
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < acc_n) arena.require(acc_n);
-  ScratchArena::Frame frame(arena);
-  std::span<double> acc = arena.alloc(acc_n);
   parallel_for(static_cast<std::size_t>(nlev), [&](std::size_t lev) {
+    ScratchArena& arena = ScratchArena::thread_local_arena();
+    ScratchArena::Frame frame(arena);
     dss_level(m, elem_fields, static_cast<int>(lev),
-              acc.data() + lev * nnodes);
+              thread_acc(arena, nnodes));
   });
 }
 
 void dss_vector_levels(const mesh::CubedSphere& m,
                        std::span<double* const> u1,
                        std::span<double* const> u2, int nlev) {
-  // Three level-major node accumulators, one per Cartesian component.
   const int nelem = m.nelem();
   const std::size_t nnodes = static_cast<std::size_t>(m.nnodes());
-  const std::size_t acc_n = nnodes * static_cast<std::size_t>(nlev);
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < 3 * acc_n) arena.require(3 * acc_n);
-  ScratchArena::Frame frame(arena);
-  std::span<double> acc = arena.alloc(3 * acc_n);
   // Per level: rotate each element to Cartesian components and gather
-  // them, then rotate the assembled components back — the same
-  // operations as assembling each component field in turn.
+  // them into three node accumulators, then rotate the assembled
+  // components back — the same operations as assembling each component
+  // field in turn.
   parallel_for(static_cast<std::size_t>(nlev), [&](std::size_t sl) {
     const int lev = static_cast<int>(sl);
-    double* ax = acc.data() + sl * nnodes;
-    double* ay = ax + acc_n;
-    double* az = ay + acc_n;
-    std::fill(ax, ax + nnodes, 0.0);
-    std::fill(ay, ay + nnodes, 0.0);
-    std::fill(az, az + nnodes, 0.0);
+    ScratchArena& arena = ScratchArena::thread_local_arena();
+    ScratchArena::Frame frame(arena);
+    double* ax = thread_acc(arena, 3 * nnodes);
+    double* ay = ax + nnodes;
+    double* az = ay + nnodes;
+    std::fill(ax, ax + 3 * nnodes, 0.0);
     double cx[kNpp], cy[kNpp], cz[kNpp];
     for (int e = 0; e < nelem; ++e) {
       const std::size_t se = static_cast<std::size_t>(e);

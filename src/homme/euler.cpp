@@ -70,7 +70,7 @@ void euler_step(Exchange& ex, const Dims& d, State& s, double dt,
   // carved from the scratch arena instead of per-call heap vectors. The
   // reservation also covers the nested DSS's own scratch, which it takes
   // while all three buffers are live.
-  const std::size_t need = 3 * sn * fs + ex.dss_scratch(d.nlev);
+  const std::size_t need = 3 * sn * fs + ex.dss_scratch();
   ScratchArena& arena = ScratchArena::thread_local_arena();
   if (arena.capacity() < need || arena.ptr_capacity() < sn) {
     arena.require(need, sn);

@@ -16,9 +16,8 @@ void MeshExchange::dss_vector_levels(std::span<double* const> u1,
   homme::dss_vector_levels(mesh_, u1, u2, nlev);
 }
 
-std::size_t MeshExchange::dss_scratch(int nlev) const {
-  return static_cast<std::size_t>(mesh_.nnodes()) *
-         static_cast<std::size_t>(nlev);
+std::size_t MeshExchange::dss_scratch() const {
+  return static_cast<std::size_t>(mesh_.nnodes());
 }
 
 obs::Track* MeshExchange::open_track(obs::Tracer* t) {

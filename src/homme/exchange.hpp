@@ -52,9 +52,9 @@ class Exchange {
                                  std::span<double* const> u2, int nlev) = 0;
 
   /// Thread-arena doubles one dss_levels call takes on top of whatever
-  /// its caller holds — kernels add it to their own reservation, since
-  /// the arena cannot grow under live frames.
-  virtual std::size_t dss_scratch(int nlev) const = 0;
+  /// its caller holds, at any level count — kernels add it to their own
+  /// reservation, since the arena cannot grow under live frames.
+  virtual std::size_t dss_scratch() const = 0;
 
   /// The calling rank's endpoint for the collective DSS calls that follow
   /// (nullptr releases it). The whole mesh needs none and ignores it.
@@ -80,7 +80,8 @@ class MeshExchange final : public Exchange {
   void dss_levels(std::span<double* const> fields, int nlev) override;
   void dss_vector_levels(std::span<double* const> u1,
                          std::span<double* const> u2, int nlev) override;
-  std::size_t dss_scratch(int nlev) const override;
+  /// One level's node accumulator (nnodes doubles) per running thread.
+  std::size_t dss_scratch() const override;
   obs::Track* open_track(obs::Tracer* t) override;
 };
 
@@ -97,7 +98,7 @@ class RankExchange final : public Exchange {
   void dss_vector_levels(std::span<double* const> u1,
                          std::span<double* const> u2, int nlev) override;
   /// The node accumulator is a BndryExchange member, not arena storage.
-  std::size_t dss_scratch(int) const override { return 0; }
+  std::size_t dss_scratch() const override { return 0; }
   void bind(net::Rank* r) override { rank_ = r; }
   obs::Track* open_track(obs::Tracer* t) override;
 

@@ -9,32 +9,31 @@
 ///   hypervis_dp2     — hyper (nabla^4) viscosity on momentum and T
 ///   biharmonic_dp3d  — weak biharmonic operator on the layer thickness
 ///
-/// nabla^2 is the strong-form spectral Laplacian followed by DSS; the
+/// nabla^2 is the weak-form spectral Laplacian followed by DSS; the
 /// biharmonic applies it twice with a DSS in between. Vector fields are
 /// dissipated component-wise in Cartesian 3-space (coordinate-free across
 /// cube faces) and projected back.
+///
+/// Each kernel is one batched sweep over its fields (the loop fusion of
+/// section 7.3 and the aggregated exchange of section 7.6): one pool
+/// region per Laplacian application over every field, and one DSS of all
+/// their levels between applications. The result is bit for bit that of
+/// dissipating one field at a time.
 
 namespace homme {
 
 class Exchange;
 
-/// Apply s <- s + dt * nu * Laplacian(s) to a multi-level scalar field
-/// given by per-element pointers. One DSS at the end.
-void laplacian_update(const mesh::CubedSphere& m, int nlev,
-                      std::span<double* const> field, double coef);
-
-/// Compute the biharmonic nabla^4 of a scalar field into \p out (per-
-/// element pointers); DSS applied between and after the two Laplacians.
-void biharmonic_scalar(const mesh::CubedSphere& m, int nlev,
-                       std::span<double* const> field,
-                       std::span<double* const> out);
-
-/// Table 1 "hypervis dp1": u, T <- u, T + dt*nu*Lap(u, T).
+/// Table 1 "hypervis dp1": u, T <- u, T + dt*nu*Lap(u, T), over the
+/// elements \p ex owns (its local order).
+void hypervis_dp1(Exchange& ex, const Dims& d, State& s, double nu,
+                  double dt);
+/// The same kernel over the whole mesh.
 void hypervis_dp1(const mesh::CubedSphere& m, const Dims& d, State& s,
                   double nu, double dt);
 
 /// Table 1 "hypervis dp2": u, T <- u, T - dt*nu*Lap(Lap(u, T)), over the
-/// elements \p ex owns (its local order).
+/// elements \p ex owns.
 void hypervis_dp2(Exchange& ex, const Dims& d, State& s, double nu,
                   double dt);
 /// The same kernel over the whole mesh.
@@ -48,5 +47,10 @@ void biharmonic_dp3d(Exchange& ex, const Dims& d, State& s, double nu,
 /// The same kernel over the whole mesh.
 void biharmonic_dp3d(const mesh::CubedSphere& m, const Dims& d, State& s,
                      double nu, double dt);
+
+/// The dycore's hyperviscosity: hypervis_dp2 and biharmonic_dp3d in one
+/// sweep over u, T and dp, with the same result as calling them in turn.
+void hyperviscosity(Exchange& ex, const Dims& d, State& s, double nu,
+                    double dt);
 
 }  // namespace homme

@@ -1,7 +1,9 @@
 #include "homme/ops.hpp"
 
+#include <array>
 #include <cmath>
 
+#include "homme/vpack.hpp"
 #include "mesh/gll.hpp"
 
 namespace homme {
@@ -99,35 +101,101 @@ void laplace_sphere(const mesh::ElementGeom& g, const double* s,
   divergence_sphere(g, g1, g2, lap);
 }
 
+namespace {
+
+/// Lanes per row of a level tile: the i points of row j sit at
+/// s + gidx(0, j), contiguous.
+constexpr int kRowPacks = kNp / vpack::width;
+static_assert(kNp % vpack::width == 0, "vpack width must divide kNp");
+
+using Row = std::array<double, kNp>;
+
+/// The constant factors of laplace_sphere_wk, each formed exactly as the
+/// scalar loop forms it, laid out as lanes over i:
+///   dt[m][i]     = D[i][m]                (column m of D)
+///   f1w[j][m][i] = (D[m][i] * w_m) * w_j  (weight of F1(m,j))
+///   f2w[j][m][i] = (D[m][j] * w_i) * w_m  (weight of F2(i,m))
+///   ww[j][i]     = w_i * w_j
+/// A product of the same doubles rounds the same way whenever it is
+/// formed, so hoisting them out of the loop keeps every bit.
+struct WkTables {
+  std::array<Row, kNp> dt, ww;
+  std::array<std::array<Row, kNp>, kNp> f1w, f2w;
+};
+
+const WkTables& wk_tables() {
+  static const WkTables t = [] {
+    const auto& D = mesh::gll().deriv;
+    const auto& w = mesh::gll().weights;
+    WkTables r{};
+    for (std::size_t j = 0; j < kNp; ++j) {
+      for (std::size_t m = 0; m < kNp; ++m) {
+        for (std::size_t i = 0; i < kNp; ++i) {
+          r.f1w[j][m][i] = D[m][i] * w[m] * w[j];
+          r.f2w[j][m][i] = D[m][j] * w[i] * w[m];
+        }
+        r.dt[m][j] = D[j][m];
+      }
+      for (std::size_t i = 0; i < kNp; ++i) r.ww[j][i] = w[i] * w[j];
+    }
+    return r;
+  }();
+  return t;
+}
+
+}  // namespace
+
 void laplace_sphere_wk(const mesh::ElementGeom& g, const double* s,
                        double* lap) {
+  // One vpack lane per GLL index i. Every lane performs the scalar
+  // loop's operations in its order, the constant factors taken from
+  // wk_tables(), so the result is the scalar loop's bit for bit. s is
+  // read only before lap is written, so s == lap is allowed.
   const auto& D = mesh::gll().deriv;
-  const auto& w = mesh::gll().weights;
-  // Contravariant flux F^a = J g^{ab} ds/dxi_b.
+  const WkTables& t = wk_tables();
+  // d1(i,j) = sum_m D[i][m] s(m,j), d2(i,j) = sum_m D[j][m] s(i,m).
   double d1[kNpp], d2[kNpp], f1[kNpp], f2[kNpp];
-  deriv_ref(s, d1, d2);
-  for (int k = 0; k < kNpp; ++k) {
-    const std::size_t sk = static_cast<std::size_t>(k);
-    f1[k] = g.jac[sk] * (g.ginv11[sk] * d1[k] + g.ginv12[sk] * d2[k]);
-    f2[k] = g.jac[sk] * (g.ginv12[sk] * d1[k] + g.ginv22[sk] * d2[k]);
+  for (int j = 0; j < kNp; ++j) {
+    const std::size_t sj = static_cast<std::size_t>(j);
+    for (int p = 0; p < kRowPacks; ++p) {
+      const int i0 = p * vpack::width;
+      vpack dx = vpack::zero(), dy = vpack::zero();
+      for (int m = 0; m < kNp; ++m) {
+        const std::size_t sm = static_cast<std::size_t>(m);
+        dx += vpack::load(t.dt[sm].data() + i0) * s[gidx(m, j)];
+        dy += D[sj][sm] * vpack::load(s + gidx(i0, m));
+      }
+      dx.store(d1 + gidx(i0, j));
+      dy.store(d2 + gidx(i0, j));
+    }
+  }
+  // Contravariant flux F^a = J g^{ab} ds/dxi_b.
+  for (int k = 0; k < kNpp; k += vpack::width) {
+    const vpack jac = vpack::load(g.jac.data() + k);
+    const vpack g11 = vpack::load(g.ginv11.data() + k);
+    const vpack g12 = vpack::load(g.ginv12.data() + k);
+    const vpack g22 = vpack::load(g.ginv22.data() + k);
+    const vpack a = vpack::load(d1 + k), b = vpack::load(d2 + k);
+    (jac * (g11 * a + g12 * b)).store(f1 + k);
+    (jac * (g12 * a + g22 * b)).store(f2 + k);
   }
   // Weak divergence: lap(i,j) = -(1/(w_i w_j J)) *
   //   [ sum_m D[m][i] w_m w_j F1(m,j) + sum_m D[m][j] w_i w_m F2(i,m) ].
   for (int j = 0; j < kNp; ++j) {
-    for (int i = 0; i < kNp; ++i) {
-      double acc = 0.0;
+    const std::size_t sj = static_cast<std::size_t>(j);
+    for (int p = 0; p < kRowPacks; ++p) {
+      const int i0 = p * vpack::width;
+      vpack acc = vpack::zero();
       for (int m = 0; m < kNp; ++m) {
-        acc += D[static_cast<std::size_t>(m)][static_cast<std::size_t>(i)] *
-               w[static_cast<std::size_t>(m)] *
-               w[static_cast<std::size_t>(j)] * f1[gidx(m, j)];
-        acc += D[static_cast<std::size_t>(m)][static_cast<std::size_t>(j)] *
-               w[static_cast<std::size_t>(i)] *
-               w[static_cast<std::size_t>(m)] * f2[gidx(i, m)];
+        const std::size_t sm = static_cast<std::size_t>(m);
+        acc += vpack::load(t.f1w[sj][sm].data() + i0) * f1[gidx(m, j)];
+        acc += vpack::load(t.f2w[sj][sm].data() + i0) *
+               vpack::load(f2 + gidx(i0, m));
       }
-      const int k = gidx(i, j);
-      lap[k] = -acc / (w[static_cast<std::size_t>(i)] *
-                       w[static_cast<std::size_t>(j)] *
-                       g.jac[static_cast<std::size_t>(k)]);
+      const int k = gidx(i0, j);
+      (-acc / (vpack::load(t.ww[sj].data() + i0) *
+               vpack::load(g.jac.data() + k)))
+          .store(lap + k);
     }
   }
 }

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <vector>
 
 #include "homme/dss.hpp"
 #include "homme/state.hpp"
 #include "mesh/cubed_sphere.hpp"
+#include "mesh/gll.hpp"
 
 namespace {
 
@@ -198,6 +200,64 @@ TEST(HommeOps, LaplaceOfConstantIsZero) {
   for (double& x : s) x = 3.0;
   homme::laplace_sphere(m.geom(7), s, lap);
   for (int k = 0; k < kNpp; ++k) EXPECT_NEAR(lap[k], 0.0, 1e-12);
+}
+
+/// The scalar weak Laplacian the vpack one replaced, kept as its oracle.
+void laplace_sphere_wk_scalar(const mesh::ElementGeom& g, const double* s,
+                              double* lap) {
+  using mesh::gidx;
+  using mesh::kNp;
+  const auto& D = mesh::gll().deriv;
+  const auto& w = mesh::gll().weights;
+  // Contravariant flux F^a = J g^{ab} ds/dxi_b.
+  double d1[kNpp], d2[kNpp], f1[kNpp], f2[kNpp];
+  homme::deriv_ref(s, d1, d2);
+  for (int k = 0; k < kNpp; ++k) {
+    const std::size_t sk = static_cast<std::size_t>(k);
+    f1[k] = g.jac[sk] * (g.ginv11[sk] * d1[k] + g.ginv12[sk] * d2[k]);
+    f2[k] = g.jac[sk] * (g.ginv12[sk] * d1[k] + g.ginv22[sk] * d2[k]);
+  }
+  // Weak divergence: lap(i,j) = -(1/(w_i w_j J)) *
+  //   [ sum_m D[m][i] w_m w_j F1(m,j) + sum_m D[m][j] w_i w_m F2(i,m) ].
+  for (int j = 0; j < kNp; ++j) {
+    for (int i = 0; i < kNp; ++i) {
+      double acc = 0.0;
+      for (int m = 0; m < kNp; ++m) {
+        acc += D[static_cast<std::size_t>(m)][static_cast<std::size_t>(i)] *
+               w[static_cast<std::size_t>(m)] *
+               w[static_cast<std::size_t>(j)] * f1[gidx(m, j)];
+        acc += D[static_cast<std::size_t>(m)][static_cast<std::size_t>(j)] *
+               w[static_cast<std::size_t>(i)] *
+               w[static_cast<std::size_t>(m)] * f2[gidx(i, m)];
+      }
+      const int k = gidx(i, j);
+      lap[k] = -acc / (w[static_cast<std::size_t>(i)] *
+                       w[static_cast<std::size_t>(j)] *
+                       g.jac[static_cast<std::size_t>(k)]);
+    }
+  }
+}
+
+TEST(HommeOps, WeakLaplaceMatchesTheScalarLoopBitForBit) {
+  // Every element of an ne4 mesh, a field with structure at every scale
+  // (smooth plus random), out of place and in place (s == lap).
+  auto m = mesh::CubedSphere::build(4, mesh::kEarthRadius);
+  std::mt19937 rng(20170);
+  std::uniform_real_distribution<double> noise(-1.0, 1.0);
+  for (int e = 0; e < m.nelem(); ++e) {
+    const auto& g = m.geom(e);
+    double s[kNpp], want[kNpp], got[kNpp];
+    for (int k = 0; k < kNpp; ++k) {
+      const auto& p = g.pos[static_cast<std::size_t>(k)];
+      s[k] = 280.0 + 1e-5 * (p[0] - 0.5 * p[2]) + noise(rng);
+    }
+    laplace_sphere_wk_scalar(g, s, want);
+    homme::laplace_sphere_wk(g, s, got);
+    EXPECT_EQ(std::memcmp(got, want, sizeof want), 0) << "element " << e;
+    homme::laplace_sphere_wk(g, s, s);
+    EXPECT_EQ(std::memcmp(s, want, sizeof want), 0)
+        << "element " << e << " in place";
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Golden one-rank digests: model::state_digest of every builtin scenario
-// after a few steps at a small shape, pinned to the exact bits. Any change
-// to the order or the arithmetic of a one-rank step — dycore, tracer
-// advection, hyperviscosity, remap, physics or the pipeline accelerator —
-// changes a digest and fails here. A PR that changes the numerics on
-// purpose re-records the table and says why.
+// Golden digests: model::state_digest of every builtin scenario after a
+// few steps at a small shape, pinned to the exact bits, at one rank and
+// for two scenarios at two ranks. Any change to the order or the
+// arithmetic of a step — dycore, tracer advection, hyperviscosity, DSS
+// and halo exchange, remap, physics or the pipeline accelerator —
+// changes a digest and fails here. A change to the numerics on purpose
+// re-records the table and says why.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@ struct Golden {
   int ne = 2;
   int nlev = 4;
   int core_groups = 1;
+  int ranks = 1;
 };
 
 using Backend = model::SessionConfig::Backend;
@@ -30,8 +32,10 @@ using Backend = model::SessionConfig::Backend;
 // Recorded with ne2/L4 unless an entry says otherwise, remap every 2
 // steps, 3 steps through scenario::run (forcing schedule included), so
 // every run crosses one vertical remap and takes one more step after it.
-// The last two entries pin a remap sharded over 4 core groups and a
-// host run with many elements per host thread (ne4/L8).
+// Three entries pin a remap sharded over 4 core groups and a host run
+// with many elements per host thread (ne4/L8); the last two pin the
+// multi-rank path, a 2-rank SFC split whose every DSS crosses the
+// mini-MPI (overlap mode).
 constexpr Golden kGolden[] = {
     {"aquaplanet", Backend::kHost, 0xc1565494u},
     {"baroclinic-wave", Backend::kHost, 0x630357b5u},
@@ -44,6 +48,8 @@ constexpr Golden kGolden[] = {
     {"aquaplanet", Backend::kPipeline, 0xff047e8du},
     {"aquaplanet", Backend::kPipeline, 0xff047e8du, 2, 4, 4},
     {"aquaplanet", Backend::kHost, 0x286306eau, 4, 8},
+    {"aquaplanet", Backend::kHost, 0x82371b56u, 2, 4, 1, 2},
+    {"baroclinic-wave", Backend::kHost, 0x8b7593e4u, 2, 4, 1, 2},
 };
 
 constexpr int kSteps = 3;
@@ -59,14 +65,15 @@ TEST(GoldenDigest, EveryBuiltinScenarioAtOneRankIsBitStable) {
     const bool pipeline = g.backend == Backend::kPipeline;
     SCOPED_TRACE(std::string(g.scenario) + (pipeline ? " (pipeline)" : "") +
                  " ne" + std::to_string(g.ne) + "/L" + std::to_string(g.nlev) +
-                 " cg" + std::to_string(g.core_groups));
+                 " cg" + std::to_string(g.core_groups) + " ranks" +
+                 std::to_string(g.ranks));
     const scenario::Scenario& sc = scenario::get(g.scenario);
     scenario::Overrides ov;
     ov.ne = g.ne;
     ov.nlev = g.nlev;
     ov.core_groups = g.core_groups;
     ov.remap_freq = 2;
-    ov.nranks = 1;
+    ov.nranks = g.ranks;
     ov.backend = g.backend;
     auto s = sc.session(ov);
     scenario::run(sc, *s, kSteps);

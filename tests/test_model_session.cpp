@@ -310,12 +310,12 @@ TEST(SessionRanks, FailedStepLeavesTheLastGoodState) {
                                 .with_remap_freq(2)
                                 .with_ranks(2)
                                 .with_watchdog(0.2);
-  // Each step sends 33 DSS messages per rank here. The truncation hits
-  // rank 0's last send of step 2: rank 1's receive refuses it while
-  // rank 0 finishes the step, so the two drivers' step counts disagree
-  // until the session realigns them.
+  // Each step sends 25 DSS messages per rank here (rhs 15, euler 6,
+  // hyperviscosity 4). The truncation hits rank 0's last send of step 2:
+  // rank 1's receive refuses it while rank 0 finishes the step, so the
+  // two drivers' step counts disagree until the session realigns them.
   sw::FaultPlan plan(7);
-  plan.inject({sw::FaultKind::kMsgTruncate, /*target=*/0, /*op_index=*/65});
+  plan.inject({sw::FaultKind::kMsgTruncate, /*target=*/0, /*op_index=*/49});
   Session faulty(SessionConfig{cfg}.with_faults(&plan));
   faulty.step();
   EXPECT_EQ(plan.fired_count(), 0u);
